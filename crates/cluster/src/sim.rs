@@ -38,7 +38,7 @@ use crate::sharded::{run_sharded_impl, ShardedRunResult};
 use crate::sharded_optimistic::{
     run_sharded_optimistic_impl, HybridPolicy, ShardedOptimisticOpts, ShardedOptimisticRunResult,
 };
-use crate::snapshot::{ResumeSeed, SimSnapshot, SnapshotBody};
+use crate::snapshot::{fnv1a, fnv1a_extend, ResumeSeed, SimSnapshot, SnapshotBody};
 use aqs_core::SyncConfig;
 use aqs_net::{
     ChaosConfig, ChaosOverlay, ChaosSwitch, FabricConfig, FatTreeFabric, LatencyMatrixSwitch,
@@ -48,6 +48,7 @@ use aqs_node::Program;
 use aqs_obs::{FlightRecorder, NullRecorder, ObsConfig, Recorder};
 use aqs_time::{HostDuration, SimDuration, SimTime};
 use std::fmt;
+use std::sync::OnceLock;
 use std::time::Duration;
 
 /// Which engine executes the simulation.
@@ -591,6 +592,10 @@ pub struct Sim {
     obs: Option<ObsConfig>,
     chaos: Option<ChaosConfig>,
     full_sweep: bool,
+    /// FNV-1a state after the fingerprint's program prefix. Programs are
+    /// set only in [`Sim::new`], so the prefix is hashed at most once per
+    /// builder; [`Sim::fingerprint`] continues it over the other fields.
+    programs_hash: OnceLock<u64>,
 }
 
 impl Sim {
@@ -618,6 +623,7 @@ impl Sim {
             obs: None,
             chaos: None,
             full_sweep: false,
+            programs_hash: OnceLock::new(),
         }
     }
 
@@ -904,6 +910,7 @@ impl Sim {
             obs: _,
             chaos,
             full_sweep,
+            programs_hash: _,
         } = self;
         let overlay = chaos.map(|c| ChaosOverlay::new(c).expect("chaos validated before dispatch"));
         // The parallel engines resume from a routed seed (the cut's
@@ -1093,20 +1100,22 @@ impl Sim {
     /// cap, and chaos plan. The engine choice, shard count, and
     /// optimistic-engine tuning knobs are deliberately excluded so a
     /// snapshot captured once resumes on any supporting engine.
+    ///
+    /// The value is FNV-1a over `"aqs-spec-v1"` and the `Debug` form of
+    /// each part, every part preceded by `\x1f`. The program prefix — by
+    /// far the longest part — is hashed once per builder and cached, so
+    /// the per-chunk calls of [`Sim::step_snapshot`] hash only the small
+    /// configuration suffix.
     pub fn fingerprint(&self) -> u64 {
-        let mut spec = String::from("aqs-spec-v1");
-        for part in [
-            format!("{:?}", self.programs),
-            format!("{:?}", self.config),
-            format!("{:?}", self.switch),
-            format!("{:?}", self.host_work_per_op),
-            format!("{:?}", self.max_quanta),
-            format!("{:?}", self.chaos),
-        ] {
-            spec.push('\x1f');
-            spec.push_str(&part);
-        }
-        crate::snapshot::fnv1a(spec.as_bytes())
+        let programs = *self.programs_hash.get_or_init(|| {
+            let h = fnv1a(b"aqs-spec-v1\x1f");
+            fnv1a_extend(h, format!("{:?}", self.programs).as_bytes())
+        });
+        let rest = format!(
+            "\x1f{:?}\x1f{:?}\x1f{:?}\x1f{:?}\x1f{:?}",
+            self.config, self.switch, self.host_work_per_op, self.max_quanta, self.chaos
+        );
+        fnv1a_extend(programs, rest.as_bytes())
     }
 
     /// Captures a snapshot of this simulation's state at the edge of
@@ -1634,5 +1643,82 @@ mod tests {
                 engine: EngineKind::Optimistic
             }
         );
+    }
+
+    /// The fingerprint as it was computed before the program prefix was
+    /// cached: FNV-1a over one `\x1f`-joined string. Journals written
+    /// under that formula must keep resuming, so the value may not move.
+    fn one_string_fingerprint(sim: &Sim) -> u64 {
+        let mut spec = String::from("aqs-spec-v1");
+        for part in [
+            format!("{:?}", sim.programs),
+            format!("{:?}", sim.config),
+            format!("{:?}", sim.switch),
+            format!("{:?}", sim.host_work_per_op),
+            format!("{:?}", sim.max_quanta),
+            format!("{:?}", sim.chaos),
+        ] {
+            spec.push('\x1f');
+            spec.push_str(&part);
+        }
+        fnv1a(spec.as_bytes())
+    }
+
+    #[test]
+    fn cached_fingerprint_equals_the_one_string_formula() {
+        use aqs_workloads::{Scale, Workload};
+        let cg = Workload::parse("cg")
+            .expect("cg is a workload")
+            .with_scale(Scale::Tiny)
+            .build(4, 3);
+        let workloads = [
+            ping_pong(2, 5, 64).programs,
+            burst(4, 20_000, 1024).programs,
+            cg.programs,
+        ];
+        for programs in workloads {
+            let n = programs.len();
+            let base = || Sim::new(programs.clone());
+            let variants = [
+                base(),
+                base().sync(SyncConfig::paper_dyn1()),
+                base().sync(SyncConfig::fixed_micros(100)),
+                base().seed(99),
+                base().switch(SimSwitch::LatencyMatrix(LatencyMatrixSwitch::uniform(
+                    n,
+                    SimDuration::from_micros(2),
+                ))),
+                base().switch(SimSwitch::StoreAndForward(StoreAndForwardSwitch::new(
+                    SimDuration::ZERO,
+                    1_000_000_000,
+                ))),
+                base().host_work_per_op(0.5),
+                base().max_quanta(1_000),
+                base().chaos(ChaosConfig::new(42).with_link_flap(0.1)),
+            ];
+            let mut seen = Vec::new();
+            for sim in variants {
+                let fp = sim.fingerprint();
+                assert_eq!(fp, one_string_fingerprint(&sim), "{sim:?}");
+                assert_eq!(fp, sim.fingerprint(), "a cached call changed the value");
+                assert!(!seen.contains(&fp), "setter left the fingerprint unchanged");
+                seen.push(fp);
+                // Engine choice and shard count cannot change the world.
+                let moved = sim.clone().engine(EngineKind::Sharded).shards(3);
+                assert_eq!(moved.fingerprint(), fp);
+            }
+        }
+    }
+
+    #[test]
+    fn fingerprint_cache_does_not_go_stale() {
+        let sim = Sim::new(ping_pong(2, 5, 64).programs).sync(SyncConfig::paper_dyn1());
+        let before = sim.fingerprint();
+        let reseeded = sim.seed(7);
+        assert_ne!(reseeded.fingerprint(), before);
+        assert_eq!(reseeded.fingerprint(), one_string_fingerprint(&reseeded));
+        let rechaosed = reseeded.clone().chaos(ChaosConfig::new(1));
+        assert_ne!(rechaosed.fingerprint(), reseeded.fingerprint());
+        assert_eq!(rechaosed.fingerprint(), one_string_fingerprint(&rechaosed));
     }
 }

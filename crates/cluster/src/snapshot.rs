@@ -41,7 +41,13 @@ pub const SNAPSHOT_VERSION: u32 = 1;
 /// FNV-1a 64-bit hash (used for both the payload checksum and the spec
 /// fingerprint).
 pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a_extend(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// Continues an FNV-1a hash state `h` over `bytes`. FNV-1a folds one byte
+/// at a time, so `fnv1a_extend(fnv1a(a), b) == fnv1a(a ++ b)`: a hashed
+/// prefix can be stored and continued later.
+pub(crate) fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x100_0000_01b3);
@@ -970,5 +976,6 @@ mod tests {
     fn fnv1a_is_stable() {
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_ne!(fnv1a(b"a"), fnv1a(b"b"));
+        assert_eq!(fnv1a_extend(fnv1a(b"aqs-"), b"spec"), fnv1a(b"aqs-spec"));
     }
 }

@@ -260,6 +260,9 @@ pub fn scenario_outcome_value(report: &ScenarioReport) -> Value {
 /// Runs a case job to completion in `chunk_quanta` chunks, starting from
 /// `from` (the last journaled snapshot, or `None` for a fresh run).
 ///
+/// * A `from` snapshot whose spec fingerprint is not this job's (a journal
+///   written by a binary whose simulated world differs) is discarded and
+///   the run starts fresh — deterministic, so only slower.
 /// * `cancelled` is polled between chunks — the watchdog's deadline signal
 ///   lands there, bounding how long past its deadline a job can run by one
 ///   chunk.
@@ -278,7 +281,7 @@ pub fn run_case(
         panic!("injected panic (inject_panic=true)");
     }
     let sim = build_sim(job).map_err(|detail| JobError::Internal { detail })?;
-    let mut cur = from;
+    let mut cur = from.filter(|s| s.fingerprint() == sim.fingerprint());
     loop {
         if cancelled() {
             return Err(JobError::DeadlineExceeded { deadline_ms });

@@ -27,7 +27,7 @@ use aqs_cluster::SimSnapshot;
 use serde_json::Value;
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -147,6 +147,9 @@ impl State {
 
 struct Inner {
     cfg: ServeConfig,
+    /// The bound listen address, dialled once at shutdown to wake the
+    /// blocking accept.
+    addr: SocketAddr,
     state: Mutex<State>,
     work_cv: Condvar,
     done_cv: Condvar,
@@ -173,6 +176,17 @@ impl Inner {
         drop(st);
         self.work_cv.notify_all();
         self.done_cv.notify_all();
+        // The accept thread blocks in `accept`; one connection to our own
+        // address wakes it to see the flag. A wildcard bind is dialled on
+        // loopback. Failure means the listener is already gone.
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake.ip() {
+                IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+                IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+            });
+        }
+        let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
     }
 }
 
@@ -191,7 +205,6 @@ impl Server {
     pub fn start(cfg: ServeConfig) -> std::io::Result<Server> {
         let (journal, records) = Journal::open(&cfg.journal)?;
         let listener = TcpListener::bind(&cfg.addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
 
         let mut state = State {
@@ -204,6 +217,7 @@ impl Server {
 
         let inner = Arc::new(Inner {
             cfg: cfg.clone(),
+            addr,
             state: Mutex::new(state),
             work_cv: Condvar::new(),
             done_cv: Condvar::new(),
@@ -248,10 +262,8 @@ impl Server {
     }
 
     /// Blocks until a `shutdown` request arrives, then joins every thread.
+    /// Every server thread exits on its own once shutdown begins.
     pub fn join(self) {
-        while !self.inner.shutdown.load(Ordering::SeqCst) {
-            thread::sleep(Duration::from_millis(25));
-        }
         for t in self.threads {
             let _ = t.join();
         }
@@ -378,7 +390,9 @@ fn execute(inner: &Arc<Inner>, id: u64) {
         // Resume from the last journaled snapshot when one decodes; a
         // snapshot that does not (it cannot be corrupt — the journal is
         // checksummed — but the binary may have changed across a restart)
-        // falls back to a fresh, equally deterministic run.
+        // falls back to a fresh, equally deterministic run. `run_case`
+        // does the same for one that decodes but carries another spec's
+        // fingerprint.
         from = job
             .snapshot
             .as_deref()
@@ -394,18 +408,19 @@ fn execute(inner: &Arc<Inner>, id: u64) {
             deadline_ms,
             &|| cancel.load(Ordering::SeqCst),
             &mut |snap| {
-                let mut st = inner.lock();
+                let bytes = snap.to_bytes();
                 let rec = obj(vec![
                     ("ev", Value::Str("snapshot".to_string())),
                     ("job", Value::U64(id)),
                     ("quanta", Value::U64(snap.quanta())),
-                    ("bytes", Value::Str(to_hex(&snap.to_bytes()))),
+                    ("bytes", Value::Str(to_hex(&bytes))),
                 ]);
+                let mut st = inner.lock();
                 st.journal
                     .append(&rec)
                     .map_err(|e| format!("journal append: {e}"))?;
                 if let Some(job) = st.job_mut(id) {
-                    job.snapshot = Some(snap.to_bytes());
+                    job.snapshot = Some(bytes);
                 }
                 Ok(())
             },
@@ -532,19 +547,23 @@ fn watchdog_loop(inner: &Arc<Inner>) {
 }
 
 /// Accepts connections until shutdown; each connection gets its own
-/// handler thread (clients are few: CLIs and smoke scripts).
+/// handler thread (clients are few: CLIs and smoke scripts). `accept`
+/// blocks; [`Inner::begin_shutdown`] wakes it with a self-connection.
 fn accept_loop(inner: &Arc<Inner>, listener: TcpListener) {
-    while !inner.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if inner.shutdown.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
             Ok((stream, _)) => {
                 let inner = Arc::clone(inner);
                 let _ = thread::Builder::new()
                     .name("aqs-conn".to_string())
                     .spawn(move || handle_connection(&inner, stream));
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(5));
-            }
+            // Out of descriptors (`EMFILE`) and the like: back off briefly
+            // instead of spinning on the failing call.
             Err(_) => thread::sleep(Duration::from_millis(5)),
         }
     }

@@ -242,6 +242,126 @@ fn unknown_jobs_and_malformed_requests_get_typed_rejections() {
     let _ = std::fs::remove_file(journal);
 }
 
+/// Forges the journal a crashed server would leave behind: job 1 submitted
+/// as `case` plus one mid-run snapshot, and no terminal record. Using the
+/// journal API directly stands in for `kill -9` — nothing after the
+/// snapshot ever reached disk.
+fn forge_crashed_journal(
+    journal: &std::path::Path,
+    case: &aqs_serve::CaseJob,
+    snap: &aqs_cluster::SimSnapshot,
+) {
+    let (mut j, initial) = aqs_serve::Journal::open(journal).unwrap();
+    assert!(initial.is_empty());
+    j.append(&obj(vec![
+        ("ev", Value::Str("submit".to_string())),
+        ("job", Value::U64(1)),
+        ("tenant", Value::Str("default".to_string())),
+        ("deadline_ms", Value::U64(0)),
+        ("spec", aqs_serve::JobSpec::Case(case.clone()).to_value()),
+    ]))
+    .unwrap();
+    j.append(&obj(vec![
+        ("ev", Value::Str("snapshot".to_string())),
+        ("job", Value::U64(1)),
+        ("quanta", Value::U64(snap.quanta())),
+        (
+            "bytes",
+            Value::Str(aqs_serve::journal::to_hex(&snap.to_bytes())),
+        ),
+    ]))
+    .unwrap();
+}
+
+/// Runs `f` on a helper thread and fails the test if it has not returned
+/// within a minute — a hang guard, not a latency bound.
+fn finishes(what: &str, f: impl FnOnce() + Send + 'static) {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let handle = std::thread::spawn(move || {
+        f();
+        let _ = tx.send(());
+    });
+    rx.recv_timeout(std::time::Duration::from_secs(60))
+        .unwrap_or_else(|_| panic!("{what} hung"));
+    handle.join().expect("the guarded call panicked");
+}
+
+#[test]
+fn stop_returns_when_no_client_ever_connected() {
+    let (server, _addr, journal) = start("stop-idle", |_| {});
+    finishes("stop() without clients", move || server.stop());
+    let _ = std::fs::remove_file(journal);
+}
+
+#[test]
+fn stop_returns_while_an_idle_connection_is_open() {
+    let (server, addr, journal) = start("stop-conn", |_| {});
+    // Accepted, then silent: its handler thread blocks reading.
+    let idle = std::net::TcpStream::connect(&addr).unwrap();
+    // A round trip on a second connection proves the first was accepted.
+    let r = request(&addr, &obj(vec![("op", Value::Str("stats".to_string()))])).unwrap();
+    assert_eq!(get_bool(&r, "ok"), Some(true));
+    finishes("stop() with an idle connection", move || server.stop());
+    drop(idle);
+    let _ = std::fs::remove_file(journal);
+}
+
+#[test]
+fn a_wire_shutdown_request_ends_join() {
+    // A wildcard bind: the shutdown wake-up must dial loopback instead.
+    let (server, _addr, journal) = start("join", |cfg| cfg.addr = "0.0.0.0:0".to_string());
+    let port = server.addr().port();
+    let r = request(
+        &format!("127.0.0.1:{port}"),
+        &obj(vec![("op", Value::Str("shutdown".to_string()))]),
+    )
+    .unwrap();
+    assert_eq!(get_bool(&r, "stopping"), Some(true), "{r:?}");
+    finishes("join() after a wire shutdown", move || server.join());
+    let _ = std::fs::remove_file(journal);
+}
+
+#[test]
+fn a_snapshot_from_another_spec_restarts_the_job_from_scratch() {
+    let journal = tmp_journal("respec");
+    let case = aqs_serve::CaseJob {
+        workload: "cg".to_string(),
+        nodes: 4,
+        policy: "dyn1".to_string(),
+        seed: 11,
+        scale: "mini".to_string(),
+        inject_panic: false,
+    };
+    // The snapshot decodes, but was captured under a different spec with
+    // the same node count — as if the binary changed across a restart.
+    let other = aqs_serve::CaseJob {
+        policy: "truth".to_string(),
+        ..case.clone()
+    };
+    let sim = aqs_serve::jobs::build_sim(&case).unwrap();
+    let snap = aqs_serve::jobs::build_sim(&other)
+        .unwrap()
+        .snapshot_at(40)
+        .unwrap();
+    assert_ne!(snap.fingerprint(), sim.fingerprint());
+    forge_crashed_journal(&journal, &case, &snap);
+
+    let server = Server::start(ServeConfig {
+        journal: journal.clone(),
+        ..Default::default()
+    })
+    .unwrap();
+    let record = wait_for(&server.addr().to_string(), 1);
+    assert_eq!(get_str(&record, "state"), Some("done"), "{record:?}");
+    assert_eq!(
+        record.get("outcome").cloned().unwrap(),
+        aqs_serve::jobs::outcome_value(&sim.run()),
+        "restarted run diverged from a direct run"
+    );
+    server.stop();
+    let _ = std::fs::remove_file(journal);
+}
+
 #[test]
 fn recovery_resumes_from_the_journaled_snapshot_bit_identically() {
     let journal = tmp_journal("recover");
@@ -254,36 +374,11 @@ fn recovery_resumes_from_the_journaled_snapshot_bit_identically() {
         inject_panic: false,
     };
 
-    // Forge the journal a crashed server would leave behind: a submitted
-    // job plus one mid-run snapshot, and no terminal record. Using the
-    // journal API directly stands in for `kill -9` — nothing after the
-    // snapshot ever reached disk.
     let snap = aqs_serve::jobs::build_sim(&case)
         .unwrap()
         .snapshot_at(40)
         .unwrap();
-    {
-        let (mut j, initial) = aqs_serve::Journal::open(&journal).unwrap();
-        assert!(initial.is_empty());
-        j.append(&obj(vec![
-            ("ev", Value::Str("submit".to_string())),
-            ("job", Value::U64(1)),
-            ("tenant", Value::Str("default".to_string())),
-            ("deadline_ms", Value::U64(0)),
-            ("spec", aqs_serve::JobSpec::Case(case.clone()).to_value()),
-        ]))
-        .unwrap();
-        j.append(&obj(vec![
-            ("ev", Value::Str("snapshot".to_string())),
-            ("job", Value::U64(1)),
-            ("quanta", Value::U64(snap.quanta())),
-            (
-                "bytes",
-                Value::Str(aqs_serve::journal::to_hex(&snap.to_bytes())),
-            ),
-        ]))
-        .unwrap();
-    }
+    forge_crashed_journal(&journal, &case, &snap);
     // Torn tail on top: the crash hit mid-append.
     {
         use std::io::Write;

@@ -66,4 +66,7 @@ cargo run --release -q -p aqs-bench --bin shard_scaling -- --smoke
 echo "==> obs_overhead counter gate (active-set scan + pool allocs vs checked-in baselines)"
 cargo run --release -q -p aqs-bench --bin obs_overhead -- --smoke
 
+echo "==> benchmark smoke test (every perfbench workload at tiny size, output checks, not timed)"
+cargo test --release -q --manifest-path perfbench/Cargo.toml
+
 echo "verify: OK"
