@@ -3,7 +3,7 @@
 //! matching. These bound the deterministic engine's event rate.
 
 use aqs_core::{AdaptiveQuantum, QuantumPolicy};
-use aqs_des::{EventQueue, WheelQueue};
+use aqs_des::EventQueue;
 use aqs_net::NicModel;
 use aqs_node::{Mailbox, MessageId, MessageMeta, Rank, Tag};
 use aqs_rng::Rng;
@@ -49,32 +49,6 @@ fn bench_event_queue(c: &mut Criterion) {
             }
             black_box(acc)
         })
-    });
-}
-
-fn bench_wheel_vs_heap(c: &mut Criterion) {
-    let mk_times = || {
-        let mut rng = Rng::seed_from_u64(9);
-        (0..1000)
-            .map(|_| rng.range_u64(0..1_000_000))
-            .collect::<Vec<u64>>()
-    };
-    c.bench_function("wheel_queue/push_pop_1k", |b| {
-        b.iter_batched(
-            mk_times,
-            |times| {
-                let mut q: WheelQueue<u32> = WheelQueue::new();
-                for (i, t) in times.iter().enumerate() {
-                    q.schedule(HostTime::from_nanos(*t), i as u32);
-                }
-                let mut sum = 0u64;
-                while let Some((t, _)) = q.pop() {
-                    sum += t.as_nanos();
-                }
-                black_box(sum)
-            },
-            BatchSize::SmallInput,
-        )
     });
 }
 
@@ -137,7 +111,6 @@ fn bench_mailbox(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_event_queue,
-    bench_wheel_vs_heap,
     bench_policy,
     bench_rng,
     bench_nic,

@@ -6,7 +6,7 @@ use crate::runner::{run_conformance, ConformanceOpts};
 
 /// Flag summary for usage messages.
 pub const USAGE: &str = "[--cases N] [--seed S] \
-     [--engines all|det|det,threaded|det,sharded|sharded-optimistic,hybrid] \
+     [--engines all|det|det,sharded|det,optimistic|sharded-optimistic,hybrid] \
      [--time-budget SECS] [--log FILE] [--artifacts DIR] [--no-shrink]";
 
 /// Parses `args`, runs the campaign, writes any requested artifacts, and
@@ -111,11 +111,13 @@ fn parse_seed(s: &str) -> Result<u64, String> {
     parsed.map_err(|_| format!("bad --seed: {s}"))
 }
 
+/// The names `--engines` accepts, for error messages.
+const ENGINE_NAMES: &str = "all | det | optimistic | sharded | sharded-optimistic | hybrid";
+
 /// `--engines` narrows the differential vote: the deterministic engine
-/// always runs (it anchors the ground truth); `threaded`, `optimistic`,
-/// `sharded`, `sharded-optimistic`, and `hybrid` are opt-outable.
+/// always runs (it anchors the ground truth); `optimistic`, `sharded`,
+/// `sharded-optimistic`, and `hybrid` are opt-outable.
 fn apply_engines(opts: &mut ConformanceOpts, spec: &str) -> Result<(), String> {
-    opts.check.threaded = false;
     opts.check.optimistic = false;
     opts.check.sharded = false;
     opts.check.sharded_optimistic = false;
@@ -123,21 +125,24 @@ fn apply_engines(opts: &mut ConformanceOpts, spec: &str) -> Result<(), String> {
     for part in spec.split(',') {
         match part {
             "all" => {
-                opts.check.threaded = true;
                 opts.check.optimistic = true;
                 opts.check.sharded = true;
                 opts.check.sharded_optimistic = true;
                 opts.check.hybrid = true;
             }
             "det" | "deterministic" => {}
-            "threaded" => opts.check.threaded = true,
             "optimistic" => opts.check.optimistic = true,
             "sharded" => opts.check.sharded = true,
             "sharded-optimistic" | "sharded_optimistic" => {
                 opts.check.sharded_optimistic = true;
             }
             "hybrid" => opts.check.hybrid = true,
-            other => return Err(format!("unknown engine: {other}")),
+            "threaded" => {
+                return Err(format!(
+                    "the `threaded` engine was removed; use `sharded` ({ENGINE_NAMES})"
+                ))
+            }
+            other => return Err(format!("unknown engine `{other}` ({ENGINE_NAMES})")),
         }
     }
     Ok(())
@@ -154,14 +159,13 @@ mod tests {
     #[test]
     fn parses_the_documented_flags() {
         let (opts, log, dir) = parse(&argv(
-            "--cases 7 --seed 0xA5 --engines det,threaded --time-budget 30 \
+            "--cases 7 --seed 0xA5 --engines det,optimistic --time-budget 30 \
              --log run.jsonl --artifacts out --no-shrink",
         ))
         .expect("parses");
         assert_eq!(opts.cases, 7);
         assert_eq!(opts.seed, 0xA5);
-        assert!(opts.check.threaded);
-        assert!(!opts.check.optimistic);
+        assert!(opts.check.optimistic);
         assert!(!opts.check.sharded);
         assert_eq!(opts.time_budget, Some(std::time::Duration::from_secs(30)));
         assert!(!opts.shrink_failures);
@@ -172,7 +176,8 @@ mod tests {
     #[test]
     fn rejects_unknown_flags_and_engines() {
         assert!(parse(&argv("--bogus 1")).is_err());
-        assert!(parse(&argv("--engines warp")).is_err());
+        let err = parse(&argv("--engines warp")).unwrap_err();
+        assert!(err.contains("unknown engine `warp`") && err.contains("sharded"));
         assert!(parse(&argv("--seed zz")).is_err());
         assert!(parse(&argv("--cases")).is_err());
     }
@@ -181,18 +186,25 @@ mod tests {
     fn sharded_is_selectable_and_part_of_all() {
         let (opts, ..) = parse(&argv("--engines det,sharded")).expect("parses");
         assert!(opts.check.sharded);
-        assert!(!opts.check.threaded);
+        assert!(!opts.check.optimistic);
         let (opts, ..) = parse(&argv("--engines all")).expect("parses");
-        assert!(opts.check.sharded && opts.check.threaded && opts.check.optimistic);
+        assert!(opts.check.sharded && opts.check.optimistic);
     }
 
     #[test]
     fn rollback_engines_are_selectable_and_part_of_all() {
         let (opts, ..) = parse(&argv("--engines sharded-optimistic,hybrid")).expect("parses");
         assert!(opts.check.sharded_optimistic && opts.check.hybrid);
-        assert!(!opts.check.sharded && !opts.check.threaded && !opts.check.optimistic);
+        assert!(!opts.check.sharded && !opts.check.optimistic);
         let (opts, ..) = parse(&argv("--engines all")).expect("parses");
         assert!(opts.check.sharded_optimistic && opts.check.hybrid);
+    }
+
+    #[test]
+    fn the_removed_threaded_engine_is_a_typed_error() {
+        let err = parse(&argv("--engines det,threaded")).unwrap_err();
+        assert!(err.contains("`threaded` engine was removed"), "{err}");
+        assert!(err.contains(ENGINE_NAMES), "{err}");
     }
 
     #[test]

@@ -34,8 +34,6 @@ const OBS_RING: usize = 16_384;
 /// Knobs for [`check_case_with`].
 #[derive(Clone, Debug)]
 pub struct CheckOpts {
-    /// Run the threaded engine (differential + invariants).
-    pub threaded: bool,
     /// Run the optimistic engine on perfect-switch cases (differential).
     pub optimistic: bool,
     /// Run the sharded engine (differential + invariants + cross-M
@@ -54,7 +52,7 @@ pub struct CheckOpts {
     /// Cascade depth bound handed to the sharded-optimistic and hybrid
     /// engines; the rollback-depth oracle checks runs against it.
     pub cascade_bound: u32,
-    /// Override the threaded/sharded engines' quantum cap (deadlock guard).
+    /// Override the sharded engines' quantum cap (deadlock guard).
     /// The default is derived from the ground-truth run and generous;
     /// mutation tests lower it so injected deadlocks fail fast.
     pub quanta_cap: Option<u64>,
@@ -71,7 +69,6 @@ pub struct CheckOpts {
 impl Default for CheckOpts {
     fn default() -> Self {
         Self {
-            threaded: true,
             optimistic: true,
             sharded: true,
             sharded_optimistic: true,
@@ -112,26 +109,6 @@ pub fn check_case_with(case: &CaseSpec, opts: &CheckOpts) -> Result<(), String> 
         .quanta_cap
         .unwrap_or_else(|| default_quanta_cap(truth_end_ns, exp_packets, hi));
 
-    if opts.threaded {
-        let thr = run_guarded("threaded ground truth", || {
-            sim_for(case, SyncConfig::ground_truth())
-                .engine(EngineKind::Threaded)
-                .max_quanta(cap)
-                .run()
-        })?;
-        if thr.simulated_outcome() != truth {
-            return Err(format!(
-                "differential: threaded ground truth diverged from deterministic \
-                 (sim_end {} vs {}, packets {} vs {}, received {} vs {})",
-                thr.sim_end.as_nanos(),
-                truth_end_ns,
-                thr.total_packets,
-                truth.total_packets,
-                thr.messages_received,
-                truth.messages_received,
-            ));
-        }
-    }
     if opts.sharded {
         for &m in &opts.shard_counts {
             let sh = run_guarded("sharded ground truth", || {
@@ -238,22 +215,10 @@ pub fn check_case_with(case: &CaseSpec, opts: &CheckOpts) -> Result<(), String> 
         ));
     }
 
-    if opts.threaded {
-        let thr_pol = run_guarded("threaded policy run", || {
-            sim_for(case, case.policy.sync_config())
-                .engine(EngineKind::Threaded)
-                .max_quanta(cap)
-                .record(ObsConfig::new().with_ring_capacity(OBS_RING))
-                .run()
-        })?;
-        check_policy_run("threaded policy run", &thr_pol, case, lo, hi)?;
-        conservation("threaded policy run", &thr_pol, exp_packets, exp_receives)?;
-    }
-
     if opts.sharded {
-        // Unlike the threaded engine, the sharded engine is deterministic
-        // for *every* policy (deliveries are fixed at the sender's quantum
-        // edge), so policy-run outcomes must be bit-identical across M too.
+        // The sharded engine is deterministic for *every* policy
+        // (deliveries are fixed at the sender's quantum edge), so policy-run
+        // outcomes must be bit-identical across M too.
         let mut baseline: Option<(usize, aqs_cluster::SimulatedOutcome)> = None;
         let mut active_exec: Option<u64> = None;
         for &m in &opts.shard_counts {
@@ -573,22 +538,15 @@ fn check_resume_truth(
     let det_res = resume_guarded("det ground-truth resume", || capture.resume(&snap))?;
     resume_differential("det ground-truth resume", &det_res, truth, cut)?;
 
-    let mut engines: Vec<(EngineKind, &[usize])> = Vec::new();
-    if opts.threaded {
-        // The threaded engine spawns one worker per node regardless of M.
-        engines.push((EngineKind::Threaded, &[1]));
-    }
     for (enabled, kind) in [
         (opts.sharded, EngineKind::Sharded),
         (opts.sharded_optimistic, EngineKind::ShardedOptimistic),
         (opts.hybrid, EngineKind::Hybrid),
     ] {
-        if enabled {
-            engines.push((kind, &opts.shard_counts));
+        if !enabled {
+            continue;
         }
-    }
-    for (kind, counts) in engines {
-        for &m in counts {
+        for &m in &opts.shard_counts {
             let label = format!("{} ground-truth resume (M={m})", kind.name());
             let r = resume_guarded(&label, || {
                 sim_for(case, SyncConfig::ground_truth())
@@ -675,12 +633,12 @@ fn resume_guarded(
         .map_err(|e| format!("{label}: {e}"))
 }
 
-/// Runs the threaded and sharded engines `rounds` times each under the
-/// ground-truth quantum with the schedule-fuzz hooks armed (randomized
-/// mailbox drain order, jittered barrier arrivals) and requires the outcome
-/// to stay bit-identical to the deterministic engine every time. Sharded
-/// rounds also rotate the worker count, so a schedule perturbation is
-/// compounded with a partition perturbation.
+/// Runs the sharded engine `rounds` times under the ground-truth quantum
+/// with the schedule-fuzz hooks armed (randomized mailbox drain order,
+/// jittered barrier arrivals) and requires the outcome to stay
+/// bit-identical to the deterministic engine every time. Rounds also rotate
+/// the worker count, so a schedule perturbation is compounded with a
+/// partition perturbation.
 #[cfg(feature = "schedule-fuzz")]
 pub fn check_case_fuzzed(case: &CaseSpec, rounds: u64, fuzz_seed: u64) -> Result<(), String> {
     let truth = run_guarded("det ground truth", || {
@@ -693,25 +651,6 @@ pub fn check_case_fuzzed(case: &CaseSpec, rounds: u64, fuzz_seed: u64) -> Result
         SimDuration::from_micros(1),
     );
     let truth = truth.simulated_outcome();
-    for round in 0..rounds {
-        aqs_sync::fuzz::arm(fuzz_seed.wrapping_add(round.wrapping_mul(0x9E37)));
-        let result = run_guarded("fuzzed threaded ground truth", || {
-            sim_for(case, SyncConfig::ground_truth())
-                .engine(EngineKind::Threaded)
-                .max_quanta(cap)
-                .run()
-        });
-        aqs_sync::fuzz::disarm();
-        let fuzzed = result?;
-        if fuzzed.simulated_outcome() != truth {
-            return Err(format!(
-                "schedule fuzz round {round}: threaded outcome diverged under \
-                 perturbed drain/arrival order (sim_end {} vs {})",
-                fuzzed.sim_end.as_nanos(),
-                truth.sim_end.as_nanos(),
-            ));
-        }
-    }
     for round in 0..rounds {
         let workers = 1 + (round as usize % 3);
         aqs_sync::fuzz::arm(fuzz_seed.wrapping_add(round.wrapping_mul(0xB5297)));
@@ -816,7 +755,7 @@ fn conservation(
     Ok(())
 }
 
-/// Generous quantum cap for threaded runs: enough for the ground-truth
+/// Generous quantum cap for sharded runs: enough for the ground-truth
 /// timeline plus worst-case per-packet dilation, so only a genuine deadlock
 /// (every quantum advancing with no progress) can hit it.
 fn default_quanta_cap(truth_end_ns: u64, exp_packets: u64, hi: SimDuration) -> u64 {

@@ -106,7 +106,6 @@ proptest! {
             );
 
             for kind in [
-                EngineKind::Threaded,
                 EngineKind::Sharded,
                 EngineKind::ShardedOptimistic,
                 EngineKind::Hybrid,
@@ -127,10 +126,6 @@ proptest! {
                         "case {}: {} (M={}) resume at quantum {} diverged",
                         case.tag(), kind.name(), m, cut
                     );
-                    if kind == EngineKind::Threaded {
-                        // One worker per node regardless of M; once is enough.
-                        break;
-                    }
                 }
             }
         }

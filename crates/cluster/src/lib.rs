@@ -1,7 +1,7 @@
 //! The cluster simulator: node simulators + network controller + quantum
 //! synchronization, exactly as assembled in the ISPASS 2008 paper.
 //!
-//! # Two engines
+//! # Five engines
 //!
 //! * [`engine`] — the **deterministic meta-engine**. It is a discrete-event
 //!   simulation *of the parallel simulation itself*, running on a modelled
@@ -11,23 +11,24 @@
 //!   late precisely as §3 of the paper describes. Because the host clock is
 //!   modelled, **speedup numbers are exactly reproducible** — same seed,
 //!   same figure.
-//! * [`parallel`] — the **threaded engine**: each node simulator runs on a
-//!   real OS thread, synchronizes through real barriers, and wall-clock is
-//!   measured with a real clock. It demonstrates that the technique works
-//!   as an actual parallel program; its timings are machine-dependent.
 //! * [`sharded`] — the **sharded engine**: N node simulators partitioned
-//!   over M worker threads with a two-level tree barrier and a pooled,
-//!   allocation-free packet path. It is the cluster-scale engine (256–1024
-//!   nodes) and its functional results are bit-identical for every M.
+//!   over M real worker threads with a two-level tree barrier, a pooled,
+//!   allocation-free packet path, and wall-clock measured with a real
+//!   clock. It demonstrates that the technique works as an actual parallel
+//!   program (`shards(n)` runs one node per thread, as the paper does) and
+//!   is the cluster-scale engine (up to 256k nodes); its functional results
+//!   are bit-identical for every M, its timings machine-dependent.
+//! * [`optimistic`] — a checkpoint/rollback engine on the modelled host
+//!   clock that trades conservative barriers for speculative re-execution.
+//! * [`sharded_optimistic`] — the optimistic mechanism rebuilt on the
+//!   sharded substrate: per-shard checkpoint rings, barrier-leader GVT
+//!   reduction, and rollback confined to the offending shard by a cascade
+//!   bound. Run as [`EngineKind::Hybrid`], the same engine adds the
+//!   adaptive conservative/optimistic [`HybridPolicy`].
 //!
-//! There is also [`optimistic`], a checkpoint/rollback engine that trades
-//! conservative barriers for speculative re-execution, and
-//! [`sharded_optimistic`] — the optimistic mechanism rebuilt on the sharded
-//! substrate: per-shard checkpoint rings, barrier-leader GVT reduction,
-//! rollback confined to the offending shard by a cascade bound, and the
-//! adaptive conservative/optimistic [`HybridPolicy`].
-//!
-//! All six are driven through one entry point: the [`Sim`] builder.
+//! The real-thread engines share the [`parallel`] substrate (switch models,
+//! run configuration, barrier-leader state). All five are driven through
+//! one entry point: the [`Sim`] builder.
 //!
 //! # Quick start
 //!
@@ -54,7 +55,7 @@
 //! assert_eq!(report.stragglers.count(), 0); // Q ≤ T is straggler-free
 //! ```
 //!
-//! Switch engines by changing one argument — `.engine(EngineKind::Threaded)`
+//! Switch engines by changing one argument — `.engine(EngineKind::Sharded)`
 //! runs the same workload on real threads. Attach a quantum-level flight
 //! recorder with [`Sim::record`]; see [`sim`] for details.
 

@@ -1,41 +1,19 @@
-//! The threaded parallel engine: one OS thread per node simulator.
+//! Shared substrate of the real-thread engines.
 //!
-//! Where [`engine`](crate::engine) *models* the parallel simulation on a
-//! deterministic host clock, this module *is* one: every node simulator
-//! runs on its own thread, packets cross lock-free mailboxes, quantum
-//! boundaries are an epoch-based [`LeaderBarrier`], and wall-clock is
-//! measured with [`std::time::Instant`]. It demonstrates the paper's
-//! architecture as an actual parallel program and powers the wall-clock
-//! benchmarks.
+//! The [`sharded`](crate::sharded) and
+//! [`sharded_optimistic`](crate::sharded_optimistic) engines run node
+//! simulators on worker threads and meet at quantum barriers. This module
+//! holds what both of them use:
 //!
-//! The hot path — routing a packet and retiring simulated ops — touches no
-//! globally contended lock:
-//!
-//! * straggler statistics accumulate in per-thread [`StragglerStats`] only
-//!   (a per-quantum delta for observability plus a run total) and are merged
-//!   after the threads join — no mutex anywhere in the engine;
-//! * mailboxes are lock-free MPSC lists ([`aqs_sync::Mailbox`]): producers
-//!   push with one CAS — recycling nodes from a thread-local
-//!   [`aqs_sync::MailboxPool`], so steady-state pushes allocate nothing —
-//!   and the owning thread detaches the whole batch with one swap at its
-//!   next scheduling point;
-//! * packet counts (`np`, the adaptive policy's input signal) accumulate in
-//!   a per-thread cache-padded slot that the barrier leader sums;
-//! * the quantum handshake is a single epoch publication: the last thread
-//!   to arrive advances the policy (it has exclusive access to the leader
-//!   state — no policy mutex) and stores the new `q_end` before the epoch's
-//!   release store, so `(epoch, q_end, stop)` become visible atomically.
-//!   `q_end == u64::MAX` is the stop sentinel.
-//!
-//! Two things follow from using real time:
-//!
-//! * **Timing results are machine-dependent** (that is the point).
-//! * **Functional results remain exact under the safe quantum**: with
-//!   `Q ≤ T` a packet sent in quantum *k* cannot arrive before quantum
-//!   *k + 1* starts, so no thread interleaving can create a straggler, and
-//!   the simulated timeline equals the deterministic engine's bit for bit.
-//!   With larger quanta, straggler timing depends on the actual race — as
-//!   it does in the real system.
+//! * [`ParallelSwitch`] — the pure switch models a worker may route through
+//!   without sharing mutable state;
+//! * [`ParallelConfig`] — the run configuration the [`Sim`](crate::Sim)
+//!   builder hands to either engine;
+//! * [`ParallelNodeResult`] — the per-node outcome both engines report;
+//! * the barrier leader's state (policy, counters, recorder) and the
+//!   `q_end` stop sentinel it publishes;
+//! * `busy_work`, which burns real CPU time per simulated op to emulate a
+//!   node simulator's own execution cost.
 //!
 //! # Examples
 //!
@@ -47,35 +25,25 @@
 //! let a = ProgramBuilder::new(Rank::new(0)).send(Rank::new(1), 64, Tag::new(0)).build();
 //! let b = ProgramBuilder::new(Rank::new(1)).recv(Some(Rank::new(0)), Tag::new(0)).build();
 //! let report = Sim::new(vec![a, b])
-//!     .engine(EngineKind::Threaded)
+//!     .engine(EngineKind::Sharded)
+//!     .shards(2)
 //!     .sync(SyncConfig::ground_truth())
 //!     .run();
 //! assert_eq!(report.stragglers.count(), 0);
 //! assert_eq!(report.messages_received, 1);
 //! ```
 
-use crate::sim::{EngineKind, SimError};
-use crate::snapshot::ResumeSeed;
 use aqs_core::{QuantumPolicy, SyncConfig};
-use aqs_net::{
-    ChaosOverlay, Destination, FatTreeFabric, LatencyMatrixSwitch, LinkLoad, NicModel, NodeId,
-    StragglerStats,
-};
-use aqs_node::{
-    Action, CpuModel, MessageId, MessageMeta, NodeExecutor, Program, Rank, RegionRecord, SendTarget,
-};
-use aqs_obs::{QuantumObs, Recorder};
-use aqs_sync::{ArrivalTimes, CachePadded, LeaderBarrier, Mailbox, MailboxPool, PoolDepot};
-use aqs_time::{SimDuration, SimTime};
+use aqs_net::{ChaosOverlay, FatTreeFabric, LatencyMatrixSwitch, LinkLoad, NicModel};
+use aqs_node::{CpuModel, Rank, RegionRecord};
+use aqs_time::SimTime;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Switch models available to the threaded engine.
+/// Switch models available to the real-thread engines.
 ///
 /// Only pure models are offered: their transit delay is a function of
-/// `(src, dst, bytes, departure)` alone, so node threads can compute
+/// `(src, dst, bytes, departure)` alone, so worker threads can compute
 /// arrivals without sharing mutable switch state — and call order cannot
 /// change any result. [`aqs_net::StoreAndForwardSwitch`] is deliberately
 /// absent — its per-egress queue would re-serialize every route call behind
@@ -99,24 +67,7 @@ pub enum ParallelSwitch {
     Chaos(ChaosOverlay, Box<ParallelSwitch>),
 }
 
-impl ParallelSwitch {
-    /// Extra delay beyond NIC latency for a frame from `src` to `dst` —
-    /// mirrors [`aqs_net::SwitchModel::transit_delay`] for the pure models.
-    #[inline]
-    fn transit(&self, src: NodeId, dst: NodeId, bytes: u32, ingress: SimTime) -> SimDuration {
-        match self {
-            ParallelSwitch::Perfect => SimDuration::ZERO,
-            ParallelSwitch::LatencyMatrix(m) => m.latency(src, dst),
-            ParallelSwitch::Fabric(f) => f.transit(src, dst, bytes, ingress),
-            ParallelSwitch::Chaos(overlay, inner) => {
-                inner.transit(src, dst, bytes, ingress)
-                    + overlay.extra_delay(src, dst, bytes, ingress)
-            }
-        }
-    }
-}
-
-/// Configuration of a threaded run.
+/// Configuration of a real-thread run.
 ///
 /// The `with_*` setters are **order-independent**: each one stores a single
 /// field and derives nothing, so any permutation of the same calls builds
@@ -136,7 +87,7 @@ pub struct ParallelConfig {
     /// the functional simulation at full speed.
     pub host_work_per_op: f64,
     /// Hard cap on quanta (guards against deadlocked workloads, which the
-    /// threaded engine cannot otherwise detect). `u64::MAX` by default.
+    /// real-thread engines cannot otherwise detect). `u64::MAX` by default.
     pub max_quanta: u64,
     /// Forces the sharded engines to execute every node every quantum
     /// instead of consulting the active-set wake wheel. A debug/differential
@@ -195,7 +146,7 @@ impl ParallelConfig {
     }
 }
 
-/// Per-node outcome of a threaded run.
+/// Per-node outcome of a real-thread run.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ParallelNodeResult {
     /// Rank.
@@ -211,65 +162,23 @@ pub struct ParallelNodeResult {
     pub regions: Vec<RegionRecord>,
 }
 
-/// Outcome of a threaded run.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct ParallelRunResult {
-    /// Real wall-clock the run took.
-    pub wall: Duration,
-    /// Simulated completion time (max across nodes).
-    pub sim_end: SimTime,
-    /// Quanta executed.
-    pub total_quanta: u64,
-    /// Packets routed.
-    pub total_packets: u64,
-    /// Straggler statistics.
-    pub stragglers: StragglerStats,
-    /// Per-node results.
-    pub per_node: Vec<ParallelNodeResult>,
-}
-
-impl ParallelRunResult {
-    /// Total messages received across nodes.
-    pub fn messages_received_total(&self) -> u64 {
-        self.per_node.iter().map(|n| n.messages_received).sum()
-    }
-
-    /// Wall-clock speedup of this run relative to `baseline`. A baseline
-    /// too fast for the clock to resolve yields 0.0 rather than a division
-    /// by zero.
-    pub fn speedup_vs(&self, baseline: &ParallelRunResult) -> f64 {
-        let base = baseline.wall.as_secs_f64();
-        if base <= 0.0 {
-            return 0.0;
-        }
-        base / self.wall.as_secs_f64().max(1e-9)
-    }
-}
-
-/// A fragment in flight to one receiver.
-#[derive(Clone, Copy, Debug)]
-struct InFlight {
-    meta: MessageMeta,
-    frag_index: u32,
-    arrival: SimTime,
-}
-
 /// Stop sentinel published through `q_end`.
 pub(crate) const Q_END_STOP: u64 = u64::MAX;
 
-/// State only the barrier leader touches, via [`LeaderBarrier::arrive`] —
-/// no mutex: exclusivity comes from the barrier protocol itself. Shared with
-/// the sharded engine, whose tree-barrier leader runs the same policy step.
+/// State only the barrier leader touches, via
+/// [`TreeBarrier::arrive`](aqs_sync::TreeBarrier::arrive) — no mutex:
+/// exclusivity comes from the barrier protocol itself.
 pub(crate) struct LeaderState<R> {
     pub(crate) policy: Box<dyn QuantumPolicy>,
     /// Quanta completed (including the stop round, matching the old
     /// centralized counter).
     pub(crate) quanta: u64,
-    /// Packets routed over the whole run (sum of the per-thread slots).
+    /// Packets routed over the whole run (sum of the per-worker slots).
     pub(crate) total_packets: u64,
     /// Start of the current quantum in sim ns (the previous `q_end_nanos`).
     pub(crate) q_start_nanos: u64,
-    /// Current quantum end in sim ns, mirrored into `Shared::q_end`.
+    /// Current quantum end in sim ns, mirrored into the engine's shared
+    /// `q_end`.
     pub(crate) q_end_nanos: u64,
     pub(crate) max_quanta: u64,
     /// Observability recorder. Leader-exclusive like the rest of this
@@ -284,377 +193,6 @@ pub(crate) struct LeaderState<R> {
     /// Per-shard active-node merge scratch (sharded engine with recording
     /// enabled; empty — and untouched — otherwise).
     pub(crate) shard_actives: Vec<u64>,
-}
-
-/// Per-thread per-quantum observability publication (written by the owning
-/// thread before its barrier arrival, read only by that round's leader).
-/// All zeros when recording is disabled.
-#[derive(Default)]
-struct ObsSlot {
-    /// Idle tail this quantum in sim ns.
-    vt_lag: AtomicU64,
-    /// Stragglers this thread recorded this quantum.
-    s_count: AtomicU64,
-    /// Largest straggler delay this thread saw this quantum, in sim ns.
-    s_max: AtomicU64,
-}
-
-/// Per-thread accounting that used to live behind global locks. Entirely
-/// thread-private: the quantum delta feeds the observability slots, the run
-/// total is handed back when the thread joins — no shared mutation at all.
-#[derive(Default)]
-struct ThreadCtx {
-    /// Stragglers recorded in the current quantum (folded into `run_stragglers`
-    /// at each boundary).
-    stragglers: StragglerStats,
-    /// Run-total straggler tally, returned at thread exit.
-    run_stragglers: StragglerStats,
-    /// Packets routed in the current quantum (the policy's `np` signal).
-    quantum_packets: u64,
-    /// Free-list of mailbox nodes this thread pushes with; drained nodes
-    /// recycle into the draining thread's pool, so in steady state the
-    /// packet path performs no heap allocation.
-    pool: MailboxPool<InFlight>,
-}
-
-/// Shared state across node threads.
-struct Shared<R> {
-    nic: NicModel,
-    switch: ParallelSwitch,
-    /// Wall-clock origin for barrier-wait timestamps.
-    start: Instant,
-    /// Per-thread observability slots (see [`ObsSlot`]).
-    obs_slots: Vec<CachePadded<ObsSlot>>,
-    /// Per-node published simulated position (ns), for straggler checks.
-    sim_pos: Vec<CachePadded<AtomicU64>>,
-    /// Per-node incoming fragment queues (lock-free MPSC).
-    mailboxes: Vec<Mailbox<InFlight>>,
-    /// Shared overflow depot recirculating mailbox nodes between the node
-    /// threads' pools: under directional traffic (incast) the receiver's
-    /// overflow feeds the senders' refills instead of being freed.
-    depot: Arc<PoolDepot<InFlight>>,
-    /// Per-thread packets routed this quantum; the leader sums these into
-    /// `np` for the policy and into the run total.
-    np_slots: Vec<CachePadded<AtomicU64>>,
-    /// End of the current quantum in sim ns; `Q_END_STOP` means the run is
-    /// over. Written by the leader before the epoch release-store, read by
-    /// followers after their epoch acquire-load — the epoch is the
-    /// handshake, so plain relaxed accesses suffice.
-    q_end: AtomicU64,
-    /// Number of nodes whose program has finished.
-    done: AtomicU64,
-    /// Deadlock-guard flag (checked after join, where panicking is safe).
-    overflow: AtomicBool,
-    barrier: LeaderBarrier<LeaderState<R>>,
-}
-
-impl<R: Recorder> Shared<R> {
-    /// Routes one fragment from `src`, delivering into mailboxes and doing
-    /// straggler accounting against the receivers' published positions.
-    ///
-    /// Arrival is computed exactly as the deterministic engine's
-    /// `NetworkController::route`: NIC earliest arrival plus switch transit
-    /// for this `(src, dst, bytes)`.
-    #[allow(clippy::too_many_arguments)]
-    fn route(
-        &self,
-        ctx: &mut ThreadCtx,
-        src: usize,
-        dst: Destination,
-        bytes: u32,
-        departure: SimTime,
-        meta: MessageMeta,
-        frag_index: u32,
-    ) {
-        let base = self.nic.earliest_arrival(departure);
-        match dst {
-            Destination::Unicast(d) => self.deliver(
-                ctx,
-                src,
-                d.index(),
-                bytes,
-                departure,
-                base,
-                meta,
-                frag_index,
-            ),
-            Destination::Broadcast => {
-                for t in 0..self.sim_pos.len() {
-                    if t != src {
-                        self.deliver(ctx, src, t, bytes, departure, base, meta, frag_index);
-                    }
-                }
-            }
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    #[inline]
-    fn deliver(
-        &self,
-        ctx: &mut ThreadCtx,
-        src: usize,
-        t: usize,
-        bytes: u32,
-        departure: SimTime,
-        base: SimTime,
-        meta: MessageMeta,
-        frag_index: u32,
-    ) {
-        ctx.quantum_packets += 1;
-        let arrival = base
-            + self.switch.transit(
-                NodeId::new(src as u32),
-                NodeId::new(t as u32),
-                bytes,
-                departure,
-            );
-        let pos = SimTime::from_nanos(self.sim_pos[t].load(Ordering::Acquire));
-        let eff = arrival.max(pos);
-        if eff > arrival {
-            ctx.stragglers.record(eff - arrival);
-        }
-        self.mailboxes[t].push_pooled(
-            InFlight {
-                meta,
-                frag_index,
-                arrival: eff,
-            },
-            &mut ctx.pool,
-        );
-    }
-}
-
-/// Initial state of one node thread: a fresh executor at sim time zero, or
-/// a restored executor at the snapshot's cut point.
-struct NodeInit {
-    exec: NodeExecutor,
-    sim: SimTime,
-    msg_seq: u64,
-    pending: Option<SimDuration>,
-    done: bool,
-}
-
-/// Routes the snapshot's cut-in-flight fragments ahead of the first resumed
-/// quantum: every receiver copy gets `arrival = max(computed arrival,
-/// q_start)` — the deterministic analog of what the live engine would have
-/// delivered, exact under the safe quantum (arrivals can never precede the
-/// cut when `Q ≤ T`). Returns per-node injected fragments, the delivered
-/// copy count (folded into the run's packet total), and any straggler
-/// records the snapping produced.
-fn route_seed_frags(
-    seed: &ResumeSeed,
-    nic: &NicModel,
-    switch: &ParallelSwitch,
-    n: usize,
-) -> Result<(Vec<Vec<InFlight>>, u64, StragglerStats), SimError> {
-    let mut injected: Vec<Vec<InFlight>> = (0..n).map(|_| Vec::new()).collect();
-    let mut count = 0u64;
-    let mut stragglers = StragglerStats::default();
-    for pf in &seed.frags {
-        let src = pf.src as usize;
-        if src >= n {
-            return Err(SimError::snapshot_format(format!(
-                "in-flight fragment from node {src}, but the cluster has {n} nodes"
-            )));
-        }
-        let base = nic.earliest_arrival(pf.frag.departure);
-        let deliver_to =
-            |t: usize, injected: &mut Vec<Vec<InFlight>>, stragglers: &mut StragglerStats| {
-                let arrival = base
-                    + switch.transit(
-                        NodeId::new(src as u32),
-                        NodeId::new(t as u32),
-                        pf.frag.bytes,
-                        pf.frag.departure,
-                    );
-                let eff = arrival.max(seed.q_start);
-                if eff > arrival {
-                    stragglers.record(eff - arrival);
-                }
-                injected[t].push(InFlight {
-                    meta: pf.frag.meta,
-                    frag_index: pf.frag.frag_index,
-                    arrival: eff,
-                });
-            };
-        match pf.frag.dst {
-            Some(r) => {
-                let t = r as usize;
-                if t >= n {
-                    return Err(SimError::snapshot_format(format!(
-                        "in-flight fragment for node {t}, but the cluster has {n} nodes"
-                    )));
-                }
-                deliver_to(t, &mut injected, &mut stragglers);
-                count += 1;
-            }
-            None => {
-                for t in (0..n).filter(|&t| t != src) {
-                    deliver_to(t, &mut injected, &mut stragglers);
-                    count += 1;
-                }
-            }
-        }
-    }
-    Ok((injected, count, stragglers))
-}
-
-/// Threaded engine entry point with an explicit [`Recorder`]: the unified
-/// `Sim` builder dispatches here (the historical `run_parallel` free
-/// function was deleted after five PRs of deprecation). The recorder lives
-/// in the leader state, so recording adds no lock anywhere — per-thread
-/// slots are published before the barrier arrival and merged by that
-/// round's leader.
-///
-/// With `resume`, the run starts at the snapshot's cut instead of time
-/// zero: executors, RNG-independent pending work, the policy's adaptive
-/// state, and the cut's in-flight fragments are all restored, and the run
-/// counters continue from their captured values.
-pub(crate) fn run_parallel_impl<R: Recorder>(
-    programs: Vec<Program>,
-    config: &ParallelConfig,
-    recorder: R,
-    resume: Option<&ResumeSeed>,
-) -> Result<(ParallelRunResult, R), SimError> {
-    assert!(programs.len() >= 2, "a cluster needs at least 2 nodes");
-    for (i, p) in programs.iter().enumerate() {
-        assert_eq!(p.rank().index(), i, "program {i} is for {}", p.rank());
-    }
-    let n = programs.len();
-    if let Some(s) = resume {
-        if s.nodes.len() != n {
-            return Err(SimError::snapshot_format(format!(
-                "snapshot has {} nodes, simulation has {n}",
-                s.nodes.len()
-            )));
-        }
-    }
-    let mut policy = config.sync.build();
-    let q0 = policy.initial_quantum();
-    if let Some(s) = resume {
-        policy
-            .load_state(&s.policy_state)
-            .map_err(SimError::snapshot_format)?;
-    }
-    let q_start = resume.map_or(SimTime::ZERO, |s| s.q_start);
-    let q_end0 = resume.map_or(q0.as_nanos(), |s| (s.q_start + s.q_len).as_nanos());
-    let (injected, inject_count, inject_stragglers) = match resume {
-        Some(s) => route_seed_frags(s, &config.nic, &config.switch, n)?,
-        None => (Vec::new(), 0, StragglerStats::default()),
-    };
-    let mut inits = Vec::with_capacity(n);
-    let mut n_done = 0u64;
-    for (i, program) in programs.into_iter().enumerate() {
-        inits.push(match resume {
-            Some(s) => {
-                let ns = &s.nodes[i];
-                if ns.done {
-                    n_done += 1;
-                }
-                NodeInit {
-                    exec: NodeExecutor::from_state(program, config.cpu, ns.exec.clone())
-                        .map_err(|e| SimError::snapshot_format(format!("node {i}: {e}")))?,
-                    sim: s.q_start,
-                    msg_seq: ns.msg_seq,
-                    pending: ns.pending,
-                    done: ns.done,
-                }
-            }
-            None => NodeInit {
-                exec: NodeExecutor::new(program, config.cpu),
-                sim: SimTime::ZERO,
-                msg_seq: 0,
-                pending: None,
-                done: false,
-            },
-        });
-    }
-    let leader = LeaderState {
-        policy,
-        quanta: resume.map_or(0, |s| s.quanta),
-        total_packets: resume.map_or(0, |s| s.total_packets) + inject_count,
-        q_start_nanos: q_start.as_nanos(),
-        q_end_nanos: q_end0,
-        max_quanta: config.max_quanta,
-        rec: recorder,
-        waits: Vec::with_capacity(n),
-        lags: Vec::with_capacity(n),
-        link_load: LinkLoad::default(),
-        shard_actives: Vec::new(),
-    };
-    let start = Instant::now();
-    let shared = Shared {
-        nic: config.nic,
-        switch: config.switch.clone(),
-        start,
-        obs_slots: (0..n)
-            .map(|_| CachePadded::new(ObsSlot::default()))
-            .collect(),
-        sim_pos: (0..n)
-            .map(|_| CachePadded::new(AtomicU64::new(q_start.as_nanos())))
-            .collect(),
-        mailboxes: (0..n).map(|_| Mailbox::new()).collect(),
-        depot: Arc::new(PoolDepot::new()),
-        np_slots: (0..n)
-            .map(|_| CachePadded::new(AtomicU64::new(0)))
-            .collect(),
-        q_end: AtomicU64::new(q_end0),
-        done: AtomicU64::new(n_done),
-        overflow: AtomicBool::new(false),
-        barrier: LeaderBarrier::new(n, leader),
-    };
-    let mut inject_pool = MailboxPool::default();
-    for (t, frags) in injected.into_iter().enumerate() {
-        for f in frags {
-            shared.mailboxes[t].push_pooled(f, &mut inject_pool);
-        }
-    }
-    let joined: Vec<(ParallelNodeResult, StragglerStats)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = inits
-            .into_iter()
-            .enumerate()
-            .map(|(i, init)| {
-                let shared = &shared;
-                scope.spawn(move || node_thread(i, init, config, shared))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("node thread panicked"))
-            .collect()
-    });
-    if shared.overflow.load(Ordering::Acquire) {
-        return Err(SimError::QuantumCapExceeded {
-            engine: EngineKind::Threaded,
-            max_quanta: config.max_quanta,
-        });
-    }
-    let wall = start.elapsed();
-    // Merge the per-thread run totals in deterministic (node) order — the
-    // histogram merge is commutative anyway, but determinism is free here.
-    let mut stragglers = resume.map_or_else(StragglerStats::default, |s| s.stragglers);
-    stragglers.merge(&inject_stragglers);
-    let mut results = Vec::with_capacity(joined.len());
-    for (node, thread_stragglers) in joined {
-        stragglers.merge(&thread_stragglers);
-        results.push(node);
-    }
-    let sim_end = results
-        .iter()
-        .map(|r| r.finish_sim)
-        .max()
-        .expect("at least two nodes");
-    let leader = shared.barrier.into_state();
-    let result = ParallelRunResult {
-        wall,
-        sim_end,
-        total_quanta: leader.quanta,
-        total_packets: leader.total_packets,
-        stragglers,
-        per_node: results,
-    };
-    Ok((result, leader.rec))
 }
 
 /// Burns approximately `ns` nanoseconds of real CPU time.
@@ -672,483 +210,5 @@ pub(crate) fn busy_work(ns: f64) {
             x ^= x << 17;
         }
         std::hint::black_box(x);
-    }
-}
-
-/// Runs one node simulator to completion; returns its result plus the
-/// thread's run-total straggler tally (merged by the caller after join).
-fn node_thread<R: Recorder>(
-    i: usize,
-    init: NodeInit,
-    config: &ParallelConfig,
-    shared: &Shared<R>,
-) -> (ParallelNodeResult, StragglerStats) {
-    let NodeInit {
-        mut exec,
-        mut sim,
-        mut msg_seq,
-        pending: pending0,
-        done,
-    } = init;
-    let mut ctx = ThreadCtx {
-        pool: MailboxPool::with_depot(
-            MailboxPool::<InFlight>::DEFAULT_CAP,
-            Arc::clone(&shared.depot),
-        ),
-        ..ThreadCtx::default()
-    };
-    let mut inbox: Vec<InFlight> = Vec::new();
-    let mut done_reported = done;
-    /// An op that did not fit in the previous quantum.
-    struct Pending {
-        remaining: SimDuration,
-    }
-    let mut pending: Option<Pending> = pending0.map(|remaining| Pending { remaining });
-    // The published position is clamped to the current quantum boundary:
-    // a multi-quantum op (e.g. serializing a jumbo fragment) runs `sim`
-    // ahead of `q_end`, but that run-ahead is provisional — letting peers
-    // observe it would count spurious, schedule-dependent stragglers even
-    // under the safe quantum. Committed position never exceeds the quantum.
-    let publish = |t: SimTime, cap: SimTime| {
-        shared.sim_pos[i].store(t.min(cap).as_nanos(), Ordering::Release)
-    };
-    let mut q_end = SimTime::from_nanos(shared.q_end.load(Ordering::Acquire));
-    loop {
-        // Observability: sim position where this node stopped doing useful
-        // work and jumped to the boundary (0 lag if busy to the edge).
-        let mut lag_ns = 0u64;
-        // Run this node up to the quantum boundary.
-        while sim < q_end {
-            if let Some(p) = pending.take() {
-                let step = p.remaining.min(q_end - sim);
-                sim += step;
-                publish(sim, q_end);
-                if step < p.remaining {
-                    pending = Some(Pending {
-                        remaining: p.remaining - step,
-                    });
-                    break; // quantum boundary reached mid-op
-                }
-                continue;
-            }
-            drain_mailbox(&mut exec, &shared.mailboxes[i], &mut inbox, &mut ctx.pool);
-            match exec.next_action(sim) {
-                Action::Advance { dur, ops, idle } => {
-                    // The executor consumed the op; the host work for it is
-                    // burned up front, the simulated duration is spread over
-                    // as many quanta as it needs via `pending`.
-                    if !idle && config.host_work_per_op > 0.0 && ops > 0 {
-                        busy_work(ops as f64 * config.host_work_per_op);
-                    }
-                    pending = Some(Pending { remaining: dur });
-                }
-                Action::Send { dst, bytes, tag } => {
-                    let dest = match dst {
-                        SendTarget::Rank(r) => {
-                            Destination::Unicast(aqs_net::NodeId::new(r.as_u32()))
-                        }
-                        SendTarget::All => Destination::Broadcast,
-                    };
-                    let frag_count = shared.nic.fragment_count(bytes);
-                    let meta = MessageMeta {
-                        id: MessageId {
-                            src: exec.rank(),
-                            seq: msg_seq,
-                        },
-                        tag,
-                        bytes,
-                        frag_count,
-                    };
-                    msg_seq += 1;
-                    for k in 0..frag_count {
-                        let sz = shared.nic.fragment_size(bytes, k);
-                        let ser = shared.nic.serialization_delay(sz);
-                        sim += ser;
-                        publish(sim, q_end);
-                        shared.route(&mut ctx, i, dest, sz, sim, meta, k);
-                    }
-                }
-                Action::WaitUntil(t) => {
-                    if R::ENABLED && t >= q_end {
-                        lag_ns = (q_end - sim).as_nanos();
-                    }
-                    sim = t.min(q_end);
-                    publish(sim, q_end);
-                    if t >= q_end {
-                        break;
-                    }
-                }
-                Action::Blocked => {
-                    // Nothing deliverable yet: idle to the quantum boundary
-                    // (the OS idle loop) and meet the barrier; deliveries
-                    // land in the mailbox meanwhile.
-                    if R::ENABLED {
-                        lag_ns = (q_end - sim).as_nanos();
-                    }
-                    sim = q_end;
-                    publish(sim, q_end);
-                    break;
-                }
-                Action::Finished => {
-                    if !done_reported {
-                        done_reported = true;
-                        shared.done.fetch_add(1, Ordering::AcqRel);
-                    }
-                    if R::ENABLED {
-                        lag_ns = (q_end - sim).as_nanos();
-                    }
-                    sim = q_end;
-                    publish(sim, q_end);
-                    break;
-                }
-            }
-        }
-        sim = sim.max(q_end);
-        publish(sim, q_end);
-        match next_quantum(shared, &mut ctx, i, lag_ns) {
-            Some(qe) => q_end = qe,
-            None => break,
-        }
-    }
-    let node = ParallelNodeResult {
-        rank: exec.rank(),
-        finish_sim: exec.finish_time().unwrap_or(sim),
-        ops: exec.ops_executed(),
-        messages_received: exec.messages_received(),
-        regions: exec.regions().to_vec(),
-    };
-    (node, ctx.run_stragglers)
-}
-
-/// Meets the quantum barrier; the leader advances the policy and publishes
-/// `(q_end, stop)` through the epoch handshake. Returns the new quantum end,
-/// or `None` when the run is over (all programs done, or the deadlock guard
-/// tripped).
-fn next_quantum<R: Recorder>(
-    shared: &Shared<R>,
-    ctx: &mut ThreadCtx,
-    i: usize,
-    lag_ns: u64,
-) -> Option<SimTime> {
-    // Publish this thread's per-quantum accounting. The barrier arrival
-    // provides the release/acquire edge to the leader, so relaxed stores
-    // suffice.
-    shared.np_slots[i].store(ctx.quantum_packets, Ordering::Relaxed);
-    // Keep one quantum's worth of this node's sends local; donate drain
-    // surplus to the depot (see the sharded engine's POOL_RETAIN_FLOOR for
-    // the rationale — per-node pools use a smaller floor).
-    ctx.pool.set_retain((ctx.quantum_packets as usize).max(32));
-    ctx.quantum_packets = 0;
-    if R::ENABLED {
-        // Published before the straggler merge below resets `ctx`.
-        let slot = &shared.obs_slots[i];
-        slot.vt_lag.store(lag_ns, Ordering::Relaxed);
-        slot.s_count
-            .store(ctx.stragglers.count(), Ordering::Relaxed);
-        slot.s_max
-            .store(ctx.stragglers.max_delay().as_nanos(), Ordering::Relaxed);
-    }
-    if ctx.stragglers.count() > 0 {
-        // Fold the quantum delta into the thread-private run total — no
-        // shared state touched; the caller merges totals after join.
-        ctx.run_stragglers.merge(&ctx.stragglers);
-        ctx.stragglers = StragglerStats::default();
-    }
-    if R::ENABLED {
-        let now_ns = shared.start.elapsed().as_nanos() as u64;
-        shared.barrier.arrive_timed(i, now_ns, |leader, ts| {
-            leader_step(shared, leader, Some(ts))
-        });
-    } else {
-        shared
-            .barrier
-            .arrive(|leader| leader_step(shared, leader, None));
-    }
-    // Ordered after the leader's stores by the epoch acquire inside arrive.
-    let q_end = shared.q_end.load(Ordering::Relaxed);
-    if q_end == Q_END_STOP {
-        None
-    } else {
-        Some(SimTime::from_nanos(q_end))
-    }
-}
-
-/// The leader's quantum-boundary work: record the observability sample for
-/// the quantum that just ended (when enabled), then advance the policy and
-/// publish `(q_end, stop)`. Runs with exclusive access to `leader`.
-fn leader_step<R: Recorder>(
-    shared: &Shared<R>,
-    leader: &mut LeaderState<R>,
-    ts: Option<ArrivalTimes<'_>>,
-) {
-    let np: u64 = shared
-        .np_slots
-        .iter()
-        .map(|s| s.load(Ordering::Relaxed))
-        .sum();
-    if R::ENABLED {
-        let n = shared.sim_pos.len();
-        let ts = ts.expect("recording enabled without timed arrival");
-        // The leader arrived last, so the latest stamp is "now": each
-        // thread's barrier wait is the gap to it.
-        let latest = (0..n).map(|k| ts.get(k)).max().unwrap_or(0);
-        leader.waits.clear();
-        leader.lags.clear();
-        let mut s_count = 0u64;
-        let mut s_max = 0u64;
-        for k in 0..n {
-            leader.waits.push(latest.saturating_sub(ts.get(k)));
-            let slot = &shared.obs_slots[k];
-            leader.lags.push(slot.vt_lag.load(Ordering::Relaxed));
-            s_count += slot.s_count.load(Ordering::Relaxed);
-            s_max = s_max.max(slot.s_max.load(Ordering::Relaxed));
-        }
-        leader.rec.record_quantum(&QuantumObs {
-            index: leader.quanta,
-            start: SimTime::from_nanos(leader.q_start_nanos),
-            len: SimDuration::from_nanos(leader.q_end_nanos - leader.q_start_nanos),
-            packets: np,
-            active_nodes: n as u64,
-            stragglers: s_count,
-            max_straggler_delay: SimDuration::from_nanos(s_max),
-            barrier_wait_ns: &leader.waits,
-            vt_lag_ns: &leader.lags,
-        });
-    }
-    leader.quanta += 1;
-    leader.total_packets += np;
-    let all_done = shared.done.load(Ordering::Acquire) as usize == shared.sim_pos.len();
-    if all_done {
-        shared.q_end.store(Q_END_STOP, Ordering::Relaxed);
-    } else if leader.quanta > leader.max_quanta {
-        // Cannot panic while peers wait on the barrier — flag and stop.
-        shared.overflow.store(true, Ordering::Relaxed);
-        shared.q_end.store(Q_END_STOP, Ordering::Relaxed);
-    } else {
-        #[allow(unused_mut)]
-        let mut policy_np = np;
-        #[cfg(feature = "fault-inject")]
-        if crate::fault::armed(crate::fault::Fault::LeaderNpSkip) {
-            // The recorded trace above keeps the true np; only the policy's
-            // view forgets node 0's packets.
-            policy_np -= shared.np_slots[0].load(Ordering::Relaxed);
-        }
-        let next = leader.policy.next_quantum(policy_np);
-        leader.q_start_nanos = leader.q_end_nanos;
-        leader.q_end_nanos += next.as_nanos();
-        shared.q_end.store(leader.q_end_nanos, Ordering::Relaxed);
-    }
-}
-
-/// Drains the node's mailbox into the reusable `inbox` scratch buffer
-/// (capacity persists across quanta) and delivers every fragment. Drained
-/// nodes are recycled into `pool` for the thread's next pushes.
-fn drain_mailbox(
-    exec: &mut NodeExecutor,
-    mailbox: &Mailbox<InFlight>,
-    inbox: &mut Vec<InFlight>,
-    pool: &mut MailboxPool<InFlight>,
-) {
-    mailbox.drain_into_pooled(inbox, pool);
-    for f in inbox.drain(..) {
-        exec.deliver_fragment(f.meta, f.frag_index, f.arrival);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::config::ClusterConfig;
-    use crate::sim::Sim;
-    use aqs_node::{ProgramBuilder, RegionId, Tag};
-    use aqs_obs::NullRecorder;
-    use aqs_workloads::{burst, ping_pong};
-
-    fn cfg(sync: SyncConfig) -> ParallelConfig {
-        ParallelConfig::new(sync).with_max_quanta(20_000_000)
-    }
-
-    /// Unrecorded engine run with an owned result (equivalence with the
-    /// `Sim` builder is pinned in `tests/sim_builder.rs`).
-    fn par(programs: Vec<Program>, config: &ParallelConfig) -> ParallelRunResult {
-        match run_parallel_impl(programs, config, NullRecorder, None) {
-            Ok((r, _)) => r,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    #[test]
-    fn ping_pong_completes() {
-        let spec = ping_pong(2, 5, 64);
-        let r = par(spec.programs, &cfg(SyncConfig::ground_truth()));
-        assert_eq!(r.messages_received_total(), 10);
-        assert_eq!(r.stragglers.count(), 0, "safe quantum must be race-free");
-        assert_eq!(r.total_packets, 10);
-        assert!(r.sim_end > SimTime::ZERO);
-    }
-
-    #[test]
-    fn speedup_guards_zero_baseline() {
-        let spec = ping_pong(2, 1, 64);
-        let mut a = par(spec.programs.clone(), &cfg(SyncConfig::ground_truth()));
-        let b = par(spec.programs, &cfg(SyncConfig::ground_truth()));
-        assert!(b.speedup_vs(&a).is_finite());
-        a.wall = Duration::ZERO;
-        assert_eq!(b.speedup_vs(&a), 0.0, "zero baseline must not divide");
-    }
-
-    #[test]
-    fn safe_quantum_matches_deterministic_engine_functionally() {
-        // Under Q <= T both engines must produce the identical simulated
-        // timeline (no stragglers → no race-dependent timing).
-        let spec = burst(4, 50_000, 1024);
-        let report = Sim::new(spec.programs.clone())
-            .config(ClusterConfig::new(SyncConfig::ground_truth()).with_seed(1))
-            .run();
-        let det = report.detail.as_deterministic().expect("det engine");
-        let par = par(spec.programs, &cfg(SyncConfig::ground_truth()));
-        assert_eq!(par.sim_end, det.sim_end, "simulated timelines must agree");
-        assert_eq!(
-            par.messages_received_total(),
-            det.per_node
-                .iter()
-                .map(|n| n.messages_received)
-                .sum::<u64>()
-        );
-        assert_eq!(par.total_packets, det.total_packets);
-    }
-
-    #[test]
-    fn adaptive_policy_reduces_quanta() {
-        let mk = |r: u32| {
-            let peer = 1 - r;
-            let mut b = ProgramBuilder::new(Rank::new(r)).compute(2_000_000);
-            if r == 0 {
-                b = b.send(Rank::new(peer), 64, Tag::new(0));
-            } else {
-                b = b.recv(Some(Rank::new(peer)), Tag::new(0));
-            }
-            b.compute(2_000_000).build()
-        };
-        let programs = vec![mk(0), mk(1)];
-        let truth = par(programs.clone(), &cfg(SyncConfig::ground_truth()));
-        let dynr = par(programs, &cfg(SyncConfig::paper_dyn1()));
-        assert!(
-            dynr.total_quanta < truth.total_quanta / 5,
-            "adaptive should need far fewer quanta: {} vs {}",
-            dynr.total_quanta,
-            truth.total_quanta
-        );
-    }
-
-    #[test]
-    fn large_quantum_creates_stragglers_in_real_races() {
-        let spec = ping_pong(2, 50, 64);
-        let r = par(spec.programs, &cfg(SyncConfig::fixed_micros(1000)));
-        assert!(
-            r.stragglers.count() > 0,
-            "latency-bound ping-pong must straggle"
-        );
-        assert_eq!(
-            r.messages_received_total(),
-            100,
-            "stragglers must not lose packets"
-        );
-    }
-
-    #[test]
-    fn many_nodes_threads_complete() {
-        let spec = burst(16, 10_000, 512);
-        let r = par(spec.programs, &cfg(SyncConfig::paper_dyn2()));
-        assert_eq!(r.per_node.len(), 16);
-        assert!(r.per_node.iter().all(|n| n.finish_sim > SimTime::ZERO));
-    }
-
-    #[test]
-    fn busy_work_slows_wall_clock() {
-        let spec = burst(2, 2_000_000, 512);
-        let fast = par(spec.programs.clone(), &cfg(SyncConfig::fixed_micros(1000)));
-        let slow = par(
-            spec.programs,
-            &cfg(SyncConfig::fixed_micros(1000)).with_host_work_per_op(50.0),
-        );
-        assert!(
-            slow.wall > fast.wall,
-            "busy work should cost wall time: {:?} vs {:?}",
-            slow.wall,
-            fast.wall
-        );
-    }
-
-    #[test]
-    fn regions_are_captured() {
-        let spec = ping_pong(2, 3, 64);
-        let r = par(spec.programs, &cfg(SyncConfig::ground_truth()));
-        assert!(r.per_node[0]
-            .regions
-            .iter()
-            .any(|reg| reg.region == RegionId::KERNEL));
-    }
-
-    #[test]
-    fn latency_matrix_switch_matches_deterministic_engine() {
-        // The bytes/switch-transit path must be identical in both engines
-        // (this is the bugfix for `route` discarding its `bytes` argument
-        // and skipping the switch model entirely).
-        use crate::sim::SimSwitch;
-        let spec = ping_pong(2, 20, 4096);
-        let matrix = LatencyMatrixSwitch::uniform(2, SimDuration::from_micros(3));
-        let det = Sim::new(spec.programs.clone())
-            .config(ClusterConfig::new(SyncConfig::ground_truth()).with_seed(7))
-            .switch(SimSwitch::LatencyMatrix(matrix.clone()))
-            .run();
-        let par = par(
-            spec.programs,
-            &cfg(SyncConfig::ground_truth()).with_switch(ParallelSwitch::LatencyMatrix(matrix)),
-        );
-        assert_eq!(
-            par.sim_end, det.sim_end,
-            "switch transit must shift both timelines equally"
-        );
-        assert_eq!(par.total_packets, det.total_packets);
-        assert_eq!(par.stragglers.count(), 0);
-    }
-
-    #[test]
-    fn flight_recorder_matches_run_totals_and_null_run() {
-        use aqs_obs::{FlightRecorder, ObsConfig};
-        let spec = burst(4, 50_000, 1024);
-        let (r, fr) = run_parallel_impl(
-            spec.programs.clone(),
-            &cfg(SyncConfig::ground_truth()),
-            FlightRecorder::new(4, ObsConfig::new()),
-            None,
-        )
-        .expect("run succeeds");
-        assert_eq!(fr.total_packets(), r.total_packets);
-        assert_eq!(fr.total_quanta(), r.total_quanta);
-        assert_eq!(fr.total_stragglers(), r.stragglers.count());
-        // Under the safe quantum the recorded run's simulated outcome is
-        // bit-identical to the unrecorded one.
-        let null = par(spec.programs, &cfg(SyncConfig::ground_truth()));
-        assert_eq!(null.sim_end, r.sim_end);
-        assert_eq!(null.total_quanta, r.total_quanta);
-        assert_eq!(null.total_packets, r.total_packets);
-        // Barrier waits are real time: at least one thread in some quantum
-        // waited a nonzero interval.
-        assert!(fr.barrier_wait_hist().count() > 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "deadlock")]
-    fn quantum_cap_catches_deadlock() {
-        let p0 = ProgramBuilder::new(Rank::new(0))
-            .recv(Some(Rank::new(1)), Tag::new(0))
-            .build();
-        let p1 = ProgramBuilder::new(Rank::new(1)).compute(10).build();
-        let _ = par(
-            vec![p0, p1],
-            &ParallelConfig::new(SyncConfig::fixed_micros(1000)).with_max_quanta(500),
-        );
     }
 }

@@ -1,15 +1,14 @@
 //! The sharded parallel engine: N node simulators on M worker threads.
 //!
-//! The threaded engine ([`parallel`](crate::parallel)) inherits the paper's
-//! one-SimNow-per-core shape: one OS thread per simulated node. That stops
-//! scaling long before cluster sizes — at 256+ nodes the host drowns in
-//! oversubscription and scheduler churn instead of exercising Algorithm 1.
-//! This engine decouples logical processes from OS threads: the N node
-//! simulators are partitioned into M contiguous shards (M defaulting to the
-//! host's available parallelism), each worker advances its whole shard to
+//! The paper runs one SimNow per host core: one OS thread per simulated
+//! node. That shape stops scaling long before cluster sizes — at 256+ nodes
+//! the host drowns in oversubscription and scheduler churn instead of
+//! exercising Algorithm 1. This engine decouples logical processes from OS
+//! threads: the N node simulators are partitioned into M contiguous shards
+//! (M defaulting to the host's available parallelism; `shards(n)` gives the
+//! paper's one node per thread), each worker advances its whole shard to
 //! the quantum edge, and the quantum handshake is a hierarchical two-level
-//! [`TreeBarrier`] whose root leader runs the `QuantumPolicy` exactly as the
-//! threaded engine's [`aqs_sync::LeaderBarrier`] leader does.
+//! [`TreeBarrier`] whose root leader runs the `QuantumPolicy`.
 //!
 //! Packets cross shards through one lock-free [`Mailbox`] per shard, with
 //! every hop allocation-free in steady state:
@@ -20,10 +19,9 @@
 //! * `LatencyMatrix` switch lookups go through a dense precomputed
 //!   nanosecond table (no bounds asserts, no enum dispatch per packet).
 //!
-//! **Delivery is quantum-edge-deterministic.** Unlike the threaded engine,
-//! which checks arrivals against the receiver's live published position (a
-//! benign race under unsafe quanta), this engine computes the effective
-//! delivery time at route time as `max(arrival, q_end)` of the sender's
+//! **Delivery is quantum-edge-deterministic.** Rather than checking arrivals
+//! against the receiver's live position (a benign race under unsafe quanta),
+//! this engine computes the effective delivery time at route time as `max(arrival, q_end)` of the sender's
 //! current quantum, and each shard drains its mailbox exactly once, at the
 //! quantum boundary. A packet that would arrive mid-quantum is a straggler
 //! with delay `q_end − arrival` (always less than the quantum, hence within
@@ -35,7 +33,8 @@
 //! * **Under the safe quantum (`Q ≤ T`) the timeline equals the
 //!   deterministic engine's bit for bit**: every arrival already lands at or
 //!   after the quantum edge, so `max(arrival, q_end) = arrival` and zero
-//!   stragglers occur — the same argument as for the threaded engine.
+//!   stragglers occur: a packet sent in quantum *k* cannot arrive before
+//!   quantum *k + 1* starts.
 //!
 //! # Examples
 //!
@@ -73,9 +72,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Outcome of a sharded run. Mirrors
-/// [`ParallelRunResult`](crate::parallel::ParallelRunResult) plus the worker
-/// count the run actually used.
+/// Outcome of a sharded run.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ShardedRunResult {
     /// Real wall-clock the run took.
@@ -960,10 +957,8 @@ fn worker_thread<R: Recorder>(
     )
 }
 
-/// Advances one node to the quantum edge — the same inner loop as the
-/// threaded engine's `node_thread`, minus mid-quantum drains (deliveries
-/// are never consumable before the boundary by construction) and minus
-/// position publication (nothing reads it).
+/// Advances one node to the quantum edge. There are no mid-quantum drains:
+/// deliveries are never consumable before the boundary by construction.
 ///
 /// Returns `(lag_ns, wake_ns)`: the node's idle-tail lag for observability
 /// (0 when busy to the edge) and its next wake time — `q_end` when the node
@@ -1116,8 +1111,7 @@ fn next_quantum<R: Recorder>(
 
 /// The root leader's quantum-boundary work: record the observability sample
 /// (merging the per-shard slots into per-node lanes), then advance the
-/// policy and publish `(q_end, stop)` — the same step the threaded engine's
-/// leader runs, over per-shard instead of per-thread inputs.
+/// policy and publish `(q_end, stop)`.
 fn leader_step<R: Recorder>(
     shared: &SharedSharded<R>,
     leader: &mut LeaderState<R>,
@@ -1208,8 +1202,8 @@ fn leader_step<R: Recorder>(
         let mut policy_np = np;
         #[cfg(feature = "fault-inject")]
         if crate::fault::armed(crate::fault::Fault::LeaderNpSkip) {
-            // Mirror the threaded engine's armable bug: the policy's view
-            // forgets shard 0's packets; the recorded trace keeps true np.
+            // The policy's view forgets shard 0's packets; the recorded
+            // trace keeps the true np.
             policy_np -= shared.np_slots[0].load(Ordering::Relaxed);
         }
         let next = leader.policy.next_quantum(policy_np);
@@ -1495,6 +1489,20 @@ mod tests {
             "adaptive should need far fewer quanta: {} vs {}",
             dynr.total_quanta,
             truth.total_quanta
+        );
+    }
+
+    #[test]
+    fn busy_work_slows_wall_clock() {
+        let spec = burst(2, 2_000_000, 512);
+        let fixed = || cfg(SyncConfig::fixed_micros(1000));
+        let fast = run_sharded(spec.programs.clone(), &fixed(), Some(2));
+        let slow = run_sharded(spec.programs, &fixed().with_host_work_per_op(50.0), Some(2));
+        assert!(
+            slow.wall > fast.wall,
+            "busy work should cost wall time: {:?} vs {:?}",
+            slow.wall,
+            fast.wall
         );
     }
 

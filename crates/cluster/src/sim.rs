@@ -1,4 +1,4 @@
-//! The unified engine API: one builder, six engines, one report.
+//! The unified engine API: one builder, five engines, one report.
 //!
 //! Historically each engine had its own free-function entry point
 //! (`run_cluster`, `run_cluster_with_switch`, `run_parallel`,
@@ -32,7 +32,7 @@
 use crate::config::ClusterConfig;
 use crate::engine::{run_cluster_det, DetOutcome};
 use crate::optimistic::{run_optimistic_impl, OptimisticConfig, OptimisticRunResult};
-use crate::parallel::{run_parallel_impl, ParallelConfig, ParallelRunResult, ParallelSwitch};
+use crate::parallel::{ParallelConfig, ParallelSwitch};
 use crate::result::RunResult;
 use crate::sharded::{run_sharded_impl, ShardedRunResult};
 use crate::sharded_optimistic::{
@@ -58,10 +58,6 @@ pub enum EngineKind {
     /// modelled host clock. Exactly reproducible timing.
     #[default]
     Deterministic,
-    /// The threaded engine: one OS thread per node, real barriers, real
-    /// wall-clock. Machine-dependent timing, exact functional results under
-    /// the safe quantum.
-    Threaded,
     /// The optimistic (checkpoint/rollback) engine: free-running windows
     /// with fixed-point re-execution. Exact simulated timeline.
     Optimistic,
@@ -83,12 +79,11 @@ pub enum EngineKind {
 }
 
 impl EngineKind {
-    /// Short lowercase name (`deterministic` / `threaded` / `optimistic` /
-    /// `sharded` / `sharded-optimistic` / `hybrid`).
+    /// Short lowercase name (`deterministic` / `optimistic` / `sharded` /
+    /// `sharded-optimistic` / `hybrid`).
     pub fn name(&self) -> &'static str {
         match self {
             EngineKind::Deterministic => "deterministic",
-            EngineKind::Threaded => "threaded",
             EngineKind::Optimistic => "optimistic",
             EngineKind::Sharded => "sharded",
             EngineKind::ShardedOptimistic => "sharded-optimistic",
@@ -99,7 +94,7 @@ impl EngineKind {
 
 /// Switch timing model for a [`Sim`] run.
 ///
-/// Not every engine supports every switch: the threaded engine needs a
+/// Not every engine supports every switch: the real-thread engines need a
 /// stateless model (no shared mutable switch state between threads) and the
 /// optimistic engine routes with the NIC minimum latency only. [`Sim::run`]
 /// panics with a clear message on an unsupported combination rather than
@@ -110,7 +105,7 @@ pub enum SimSwitch {
     /// switch). Supported by every engine.
     #[default]
     Perfect,
-    /// Fixed per-(src, dst) latency. Deterministic and threaded engines.
+    /// Fixed per-(src, dst) latency. Every engine but the optimistic one.
     LatencyMatrix(LatencyMatrixSwitch),
     /// Store-and-forward queueing with finite egress bandwidth.
     /// Deterministic engine only (stateful).
@@ -118,8 +113,8 @@ pub enum SimSwitch {
     /// A modeled multi-tier fat-tree fabric ([`FatTreeFabric`]): per-link
     /// bandwidth, epoch-keyed queue occupancy, deterministic ECMP hashing.
     /// Transit is a pure function of `(src, dst, bytes, departure)`, so it
-    /// is supported by the deterministic, threaded *and* sharded engines —
-    /// with bit-identical results for every worker count.
+    /// is supported by the deterministic *and* the sharded engines — with
+    /// bit-identical results for every worker count.
     Fabric(FabricConfig),
 }
 
@@ -382,7 +377,7 @@ impl fmt::Display for SimError {
 impl std::error::Error for SimError {}
 
 /// Wall-clock of a run — modelled host time (deterministic and optimistic
-/// engines) or real elapsed time (threaded engine).
+/// engines) or real elapsed time (the sharded engines).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WallClock {
     /// Modelled host duration (exactly reproducible).
@@ -403,14 +398,12 @@ impl WallClock {
 
 /// Engine-specific result payload carried by a [`RunReport`].
 ///
-/// The deterministic and threaded results are boxed: they embed traces and
+/// The deterministic and sharded results are boxed: they embed traces and
 /// straggler histograms and would otherwise dominate every report's size.
 #[derive(Clone, Debug)]
 pub enum EngineDetail {
     /// Full deterministic-engine result.
     Deterministic(Box<RunResult>),
-    /// Full threaded-engine result.
-    Threaded(Box<ParallelRunResult>),
     /// Full optimistic-engine result.
     Optimistic(OptimisticRunResult),
     /// Full sharded-engine result.
@@ -425,14 +418,6 @@ impl EngineDetail {
     pub fn as_deterministic(&self) -> Option<&RunResult> {
         match self {
             EngineDetail::Deterministic(r) => Some(r),
-            _ => None,
-        }
-    }
-
-    /// The threaded result, if this run used that engine.
-    pub fn as_threaded(&self) -> Option<&ParallelRunResult> {
-        match self {
-            EngineDetail::Threaded(r) => Some(r),
             _ => None,
         }
     }
@@ -528,11 +513,6 @@ impl RunReport {
     pub fn simulated_outcome(&self) -> SimulatedOutcome {
         let per_node = match &self.detail {
             EngineDetail::Deterministic(r) => r
-                .per_node
-                .iter()
-                .map(|n| (n.rank.as_u32(), n.finish_sim, n.ops, n.messages_received))
-                .collect(),
-            EngineDetail::Threaded(r) => r
                 .per_node
                 .iter()
                 .map(|n| (n.rank.as_u32(), n.finish_sim, n.ops, n.messages_received))
@@ -663,7 +643,7 @@ impl Sim {
         self
     }
 
-    /// Threaded engine: real host nanoseconds of busy-work per simulated
+    /// Sharded engines: real host nanoseconds of busy-work per simulated
     /// operation (see [`ParallelConfig::host_work_per_op`]).
     #[must_use]
     pub fn host_work_per_op(mut self, factor: f64) -> Self {
@@ -671,7 +651,8 @@ impl Sim {
         self
     }
 
-    /// Threaded engine: hard cap on quanta (deadlock guard).
+    /// Sharded and optimistic engines: hard cap on quanta (windows, for the
+    /// optimistic engine) — the deadlock guard.
     #[must_use]
     pub fn max_quanta(mut self, max: u64) -> Self {
         self.max_quanta = max;
@@ -745,7 +726,7 @@ impl Sim {
     /// [`ChaosConfig`]) on top of the configured switch. The overlay's
     /// extra delay is a pure function of `(src, dst, bytes, departure)`
     /// keyed on `(seed, epoch)`, so the same faults replay bit-identically
-    /// on the deterministic, threaded, and sharded engines and for every
+    /// on the deterministic and sharded engines and for every
     /// worker count. The optimistic engine routes with the NIC minimum
     /// latency only and rejects chaos
     /// ([`SimError::UnsupportedChaos`]).
@@ -851,10 +832,7 @@ impl Sim {
         }
         match (self.engine, &self.switch) {
             (
-                EngineKind::Threaded
-                | EngineKind::Sharded
-                | EngineKind::ShardedOptimistic
-                | EngineKind::Hybrid,
+                EngineKind::Sharded | EngineKind::ShardedOptimistic | EngineKind::Hybrid,
                 SimSwitch::StoreAndForward(_),
             ) => {
                 return Err(SimError::UnsupportedSwitch {
@@ -929,7 +907,7 @@ impl Sim {
                 };
                 (det_report(r), rec)
             }
-            EngineKind::Threaded => {
+            EngineKind::Sharded | EngineKind::ShardedOptimistic | EngineKind::Hybrid => {
                 let n = programs.len();
                 let par_switch = match switch {
                     SimSwitch::Perfect => ParallelSwitch::Perfect,
@@ -953,107 +931,46 @@ impl Sim {
                     full_sweep,
                 };
                 let sync_label = pcfg.sync.build().label();
-                let (r, rec) = run_parallel_impl(programs, &pcfg, rec, seed.as_ref())?;
-                let report = RunReport {
-                    engine,
-                    sync_label,
-                    n_nodes: r.per_node.len(),
-                    sim_end: r.sim_end,
-                    total_packets: r.total_packets,
-                    messages_received: r.messages_received_total(),
-                    stragglers: r.stragglers,
-                    total_quanta: r.total_quanta,
-                    wall_clock: WallClock::Real(r.wall),
-                    detail: EngineDetail::Threaded(Box::new(r)),
-                    obs: None,
-                };
-                (report, rec)
-            }
-            EngineKind::Sharded => {
-                let n = programs.len();
-                let par_switch = match switch {
-                    SimSwitch::Perfect => ParallelSwitch::Perfect,
-                    SimSwitch::LatencyMatrix(m) => ParallelSwitch::LatencyMatrix(m),
-                    SimSwitch::Fabric(cfg) => ParallelSwitch::Fabric(FatTreeFabric::new(cfg, n)),
-                    SimSwitch::StoreAndForward(_) => {
-                        unreachable!("rejected by Sim::validate before dispatch")
-                    }
-                };
-                let par_switch = match overlay {
-                    Some(o) => ParallelSwitch::Chaos(o, Box::new(par_switch)),
-                    None => par_switch,
-                };
-                let pcfg = ParallelConfig {
-                    sync: config.sync.clone(),
-                    nic: config.nic,
-                    cpu: config.cpu,
-                    switch: par_switch,
-                    host_work_per_op,
-                    max_quanta,
-                    full_sweep,
-                };
-                let sync_label = pcfg.sync.build().label();
-                let (r, rec) = run_sharded_impl(programs, &pcfg, shards, rec, seed.as_ref())?;
-                let report = RunReport {
-                    engine,
-                    sync_label,
-                    n_nodes: r.per_node.len(),
-                    sim_end: r.sim_end,
-                    total_packets: r.total_packets,
-                    messages_received: r.messages_received_total(),
-                    stragglers: r.stragglers,
-                    total_quanta: r.total_quanta,
-                    wall_clock: WallClock::Real(r.wall),
-                    detail: EngineDetail::Sharded(Box::new(r)),
-                    obs: None,
-                };
-                (report, rec)
-            }
-            EngineKind::ShardedOptimistic | EngineKind::Hybrid => {
-                let n = programs.len();
-                let par_switch = match switch {
-                    SimSwitch::Perfect => ParallelSwitch::Perfect,
-                    SimSwitch::LatencyMatrix(m) => ParallelSwitch::LatencyMatrix(m),
-                    SimSwitch::Fabric(cfg) => ParallelSwitch::Fabric(FatTreeFabric::new(cfg, n)),
-                    SimSwitch::StoreAndForward(_) => {
-                        unreachable!("rejected by Sim::validate before dispatch")
-                    }
-                };
-                let par_switch = match overlay {
-                    Some(o) => ParallelSwitch::Chaos(o, Box::new(par_switch)),
-                    None => par_switch,
-                };
-                let pcfg = ParallelConfig {
-                    sync: config.sync.clone(),
-                    nic: config.nic,
-                    cpu: config.cpu,
-                    switch: par_switch,
-                    host_work_per_op,
-                    max_quanta,
-                    full_sweep,
-                };
-                let opts = ShardedOptimisticOpts {
-                    cascade_bound,
-                    ring_depth,
-                    hybrid: (engine == EngineKind::Hybrid).then_some(hybrid_policy),
-                };
-                let sync_label = pcfg.sync.build().label();
-                let (r, rec) =
-                    run_sharded_optimistic_impl(programs, &pcfg, shards, opts, rec, seed.as_ref())?;
-                let report = RunReport {
-                    engine,
-                    sync_label,
-                    n_nodes: r.per_node.len(),
-                    sim_end: r.sim_end,
-                    total_packets: r.total_packets,
-                    messages_received: r.messages_received_total(),
-                    stragglers: r.stragglers,
-                    total_quanta: r.windows,
-                    wall_clock: WallClock::Real(r.wall),
-                    detail: EngineDetail::ShardedOptimistic(Box::new(r)),
-                    obs: None,
-                };
-                (report, rec)
+                let seed = seed.as_ref();
+                if engine == EngineKind::Sharded {
+                    let (r, rec) = run_sharded_impl(programs, &pcfg, shards, rec, seed)?;
+                    let report = RunReport {
+                        engine,
+                        sync_label,
+                        n_nodes: r.per_node.len(),
+                        sim_end: r.sim_end,
+                        total_packets: r.total_packets,
+                        messages_received: r.messages_received_total(),
+                        stragglers: r.stragglers,
+                        total_quanta: r.total_quanta,
+                        wall_clock: WallClock::Real(r.wall),
+                        detail: EngineDetail::Sharded(Box::new(r)),
+                        obs: None,
+                    };
+                    (report, rec)
+                } else {
+                    let opts = ShardedOptimisticOpts {
+                        cascade_bound,
+                        ring_depth,
+                        hybrid: (engine == EngineKind::Hybrid).then_some(hybrid_policy),
+                    };
+                    let (r, rec) =
+                        run_sharded_optimistic_impl(programs, &pcfg, shards, opts, rec, seed)?;
+                    let report = RunReport {
+                        engine,
+                        sync_label,
+                        n_nodes: r.per_node.len(),
+                        sim_end: r.sim_end,
+                        total_packets: r.total_packets,
+                        messages_received: r.messages_received_total(),
+                        stragglers: r.stragglers,
+                        total_quanta: r.windows,
+                        wall_clock: WallClock::Real(r.wall),
+                        detail: EngineDetail::ShardedOptimistic(Box::new(r)),
+                        obs: None,
+                    };
+                    (report, rec)
+                }
             }
             EngineKind::Optimistic => {
                 debug_assert!(
@@ -1357,20 +1274,20 @@ mod tests {
                 .run()
         };
         let det = mk(EngineKind::Deterministic);
-        let thr = mk(EngineKind::Threaded);
         let opt = mk(EngineKind::Optimistic);
         let shd = mk(EngineKind::Sharded);
-        assert_eq!(det.simulated_outcome(), thr.simulated_outcome());
+        let sho = mk(EngineKind::ShardedOptimistic);
         assert_eq!(det.simulated_outcome(), opt.simulated_outcome());
         assert_eq!(det.simulated_outcome(), shd.simulated_outcome());
+        assert_eq!(det.simulated_outcome(), sho.simulated_outcome());
         assert_eq!(shd.engine.name(), "sharded");
         assert_eq!(shd.detail.as_sharded().expect("sharded detail").workers, 2);
         assert!(matches!(shd.wall_clock, WallClock::Real(_)));
         assert_eq!(det.engine.name(), "deterministic");
         assert!(matches!(det.wall_clock, WallClock::Modelled(_)));
-        assert!(matches!(thr.wall_clock, WallClock::Real(_)));
+        assert!(matches!(sho.wall_clock, WallClock::Real(_)));
         assert!(det.detail.as_deterministic().is_some());
-        assert!(det.detail.as_threaded().is_none());
+        assert!(det.detail.as_sharded().is_none());
     }
 
     #[test]
@@ -1417,7 +1334,6 @@ mod tests {
             sim.run().simulated_outcome()
         };
         let det = mk(EngineKind::Deterministic, None);
-        assert_eq!(det, mk(EngineKind::Threaded, None));
         for m in [1, 2, 4] {
             assert_eq!(det, mk(EngineKind::Sharded, Some(m)), "sharded m={m}");
         }
@@ -1458,10 +1374,10 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "does not support the StoreAndForward switch")]
-    fn threaded_rejects_stateful_switch() {
+    fn sharded_rejects_stateful_switch() {
         let spec = ping_pong(2, 1, 64);
         let _ = Sim::new(spec.programs)
-            .engine(EngineKind::Threaded)
+            .engine(EngineKind::Sharded)
             .switch(SimSwitch::StoreAndForward(StoreAndForwardSwitch::new(
                 SimDuration::ZERO,
                 1_000_000_000,
@@ -1516,19 +1432,12 @@ mod tests {
             .snapshot_at(full_det.total_quanta / 2)
             .expect("capturable cut");
         for kind in [
-            EngineKind::Threaded,
             EngineKind::Sharded,
             EngineKind::ShardedOptimistic,
             EngineKind::Hybrid,
         ] {
             for m in [1, 2, 5] {
-                if kind == EngineKind::Threaded && m != 1 {
-                    continue; // the threaded engine has no shard knob
-                }
-                let mut sim = base.clone().engine(kind);
-                if kind != EngineKind::Threaded {
-                    sim = sim.shards(m);
-                }
+                let sim = base.clone().engine(kind).shards(m);
                 let full = sim.clone().run();
                 let resumed = sim.resume(&snap).expect("resume succeeds");
                 assert_eq!(
@@ -1585,7 +1494,6 @@ mod tests {
         assert!(matches!(err, SimError::Deadlock { .. }), "got {err:?}");
         // The parallel engines hit their quantum cap instead.
         for kind in [
-            EngineKind::Threaded,
             EngineKind::Sharded,
             EngineKind::ShardedOptimistic,
             EngineKind::Hybrid,

@@ -224,7 +224,7 @@ pub(crate) struct ResumeSeed {
 
 impl SnapshotBody {
     /// Folds the snapshot into the engine-agnostic resume seed used by the
-    /// threaded and sharded engines.
+    /// sharded engines.
     pub(crate) fn seed(&self) -> Result<ResumeSeed, SimError> {
         let mut frags: Vec<PendingFrag> = self
             .in_flight

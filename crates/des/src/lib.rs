@@ -37,10 +37,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod wheel;
-
-pub use wheel::WheelQueue;
-
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashSet};
 use std::fmt;

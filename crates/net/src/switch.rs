@@ -18,8 +18,8 @@ use aqs_time::{SimDuration, SimTime};
 /// # Statefulness and parallel engines
 ///
 /// That sequence-determinism contract is only strong enough for the
-/// single-threaded deterministic engine. The threaded and sharded engines
-/// route packets in worker- and race-dependent *order*, so a model whose
+/// single-threaded deterministic engine. The sharded engines route packets
+/// in worker- and race-dependent *order*, so a model whose
 /// state mutates per call (like [`StoreAndForwardSwitch`]) would silently
 /// break the sharded engine's bit-identical-for-every-worker-count
 /// guarantee; those engines reject stateful models at configuration time.

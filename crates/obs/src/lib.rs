@@ -3,7 +3,7 @@
 //! The paper's argument is carried by *per-quantum dynamics* — quantum
 //! length over time (the Figure 3 "speed bumps"), straggler counts and
 //! delays, synchronization overhead — yet an end-of-run aggregate cannot
-//! show any of them. This crate is the telemetry layer all three engines
+//! show any of them. This crate is the telemetry layer all five engines
 //! share:
 //!
 //! * [`Log2Histogram`] — fixed-bucket base-2 histograms: recording is a

@@ -8,7 +8,7 @@
 //! nodes   = 8                        # required, >= 2
 //! seed    = 42                       # default 42
 //! policy  = "truth"                  # truth | dyn1 | dyn2 | pred | fixed:<µs>
-//! engines = ["deterministic", "threaded", "sharded"]
+//! engines = ["deterministic", "sharded"]
 //! shards  = [1, 2, 4]                # worker counts for the sharded engine
 //!
 //! [topology]                         # optional; default perfect switch
@@ -34,9 +34,10 @@
 //! max_sim_ms             = 500
 //! ```
 //!
-//! Parsing errors surface as [`SimError::ScenarioParse`] with the file and
-//! 1-based line; semantic errors (a probability out of range, an unknown
-//! engine) as [`SimError::ScenarioValidate`].
+//! Parsing errors (including an unknown engine name) surface as
+//! [`SimError::ScenarioParse`] with the file and 1-based line; semantic
+//! errors (a probability out of range, an empty `engines` list) as
+//! [`SimError::ScenarioValidate`].
 
 use crate::toml::{self, Item, Table, Value};
 use aqs_cluster::{EngineKind, SimError, SimSwitch};
@@ -342,21 +343,25 @@ fn parse_policy(spec: &str, file: &str, line: usize) -> Result<SyncConfig, SimEr
     }
 }
 
+/// The engine names a scenario may list, for error messages.
+const ENGINE_NAMES: &str = "deterministic | sharded | optimistic | sharded-optimistic | hybrid";
+
 fn parse_engine(name: &str, file: &str, line: usize) -> Result<EngineKind, SimError> {
     match name {
         "deterministic" => Ok(EngineKind::Deterministic),
-        "threaded" => Ok(EngineKind::Threaded),
         "sharded" => Ok(EngineKind::Sharded),
         "optimistic" => Ok(EngineKind::Optimistic),
         "sharded-optimistic" => Ok(EngineKind::ShardedOptimistic),
         "hybrid" => Ok(EngineKind::Hybrid),
+        "threaded" => Err(perr(
+            file,
+            line,
+            format!("the `threaded` engine was removed; use `sharded` ({ENGINE_NAMES})"),
+        )),
         other => Err(perr(
             file,
             line,
-            format!(
-                "unknown engine `{other}` (deterministic | threaded | sharded | optimistic \
-                 | sharded-optimistic | hybrid)"
-            ),
+            format!("unknown engine `{other}` ({ENGINE_NAMES})"),
         )),
     }
 }
@@ -537,11 +542,7 @@ impl Scenario {
                     .map(|n| parse_engine(n, file, line))
                     .collect::<Result<Vec<_>, _>>()?
             }
-            None => vec![
-                EngineKind::Deterministic,
-                EngineKind::Threaded,
-                EngineKind::Sharded,
-            ],
+            None => vec![EngineKind::Deterministic, EngineKind::Sharded],
         };
         let shards = root.usize_array("shards")?.unwrap_or_else(|| vec![1, 2, 4]);
         if shards.is_empty() || shards.contains(&0) {
@@ -854,7 +855,10 @@ workload = "burst"
         assert_eq!(sc.nodes, 4);
         assert_eq!(sc.seed, 42);
         assert_eq!(sc.policy, SyncConfig::ground_truth());
-        assert_eq!(sc.engines.len(), 3);
+        assert_eq!(
+            sc.engines,
+            vec![EngineKind::Deterministic, EngineKind::Sharded]
+        );
         assert_eq!(sc.shards, vec![1, 2, 4]);
         assert_eq!(sc.topology, Topology::Perfect);
         assert!(sc.chaos.is_none());
@@ -976,6 +980,7 @@ retransmit_us = 100
             ("name = \"x\"\nnodes = 4\n[[phases]]\nworkload = \"burst\"\nrounds = 3", true, "no parameter `rounds`"),
             ("name = \"x\"\nnodes = 4\npolicy = \"warp\"\n[[phases]]\nworkload = \"burst\"", true, "unknown policy"),
             ("name = \"x\"\nnodes = 4\nengines = [\"quantum\"]\n[[phases]]\nworkload = \"burst\"", true, "unknown engine"),
+            ("name = \"x\"\nnodes = 4\nengines = [\"threaded\"]\n[[phases]]\nworkload = \"burst\"", true, "engine was removed"),
             ("name = \"x\"\nnodes = 4\nshards = [0]\n[[phases]]\nworkload = \"burst\"", false, "at least 1"),
             ("name = \"x\"\nnodes = 4\nbogus = 1\n[[phases]]\nworkload = \"burst\"", true, "unknown scenario key `bogus`"),
             ("name = \"x\"\nnodes = 4\n[typo]\n[[phases]]\nworkload = \"burst\"", true, "unknown table `[typo]`"),

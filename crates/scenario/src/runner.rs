@@ -344,8 +344,8 @@ rounds = 5
 "#,
         ))
         .expect("passes");
-        // deterministic + threaded + sharded m=1 + sharded m=2
-        assert_eq!(report.runs.len(), 4);
+        // deterministic + sharded m=1 + sharded m=2
+        assert_eq!(report.runs.len(), 3);
         assert_eq!(report.phases, 2);
         assert!(!report.chaos);
         assert!(report.checks.iter().any(|c| c.contains("cross_engine")));

@@ -1,7 +1,8 @@
-//! Deterministic vs. threaded vs. optimistic vs. sharded engine: under the
-//! safe quantum all four must agree exactly on the simulated timeline,
-//! because no thread interleaving can create a straggler. The sharded
-//! engine must additionally agree with itself for every worker count.
+//! Deterministic vs. optimistic vs. sharded vs. sharded-optimistic engine:
+//! under the safe quantum all four must agree exactly on the simulated
+//! timeline, because no thread interleaving can create a straggler. The
+//! sharded engine must additionally agree with itself for every worker
+//! count.
 
 use aqs::cluster::{EngineKind, RunReport, Sim};
 use aqs::core::SyncConfig;
@@ -23,32 +24,7 @@ fn check_equivalence(spec: WorkloadSpec) {
         EngineKind::Deterministic,
         SyncConfig::ground_truth(),
     );
-    let par = run(
-        spec.programs.clone(),
-        EngineKind::Threaded,
-        SyncConfig::ground_truth(),
-    );
-    assert_eq!(
-        par.simulated_outcome(),
-        det.simulated_outcome(),
-        "{}: simulated outcomes differ",
-        spec.name
-    );
-    assert_eq!(
-        par.stragglers.count(),
-        0,
-        "{}: safe quantum straggled",
-        spec.name
-    );
     let det_nodes = &det.detail.as_deterministic().unwrap().per_node;
-    let par_nodes = &par.detail.as_threaded().unwrap().per_node;
-    for (p, d) in par_nodes.iter().zip(det_nodes) {
-        assert_eq!(
-            p.regions, d.regions,
-            "{}: {} regions differ",
-            spec.name, p.rank
-        );
-    }
     for workers in [1, 2, 3] {
         let sh = Sim::new(spec.programs.clone())
             .engine(EngineKind::Sharded)
@@ -61,6 +37,12 @@ fn check_equivalence(spec: WorkloadSpec) {
             sh.simulated_outcome(),
             det.simulated_outcome(),
             "{}: sharded (M={workers}) outcome differs",
+            spec.name
+        );
+        assert_eq!(
+            sh.stragglers.count(),
+            0,
+            "{}: safe quantum straggled",
             spec.name
         );
         let sh_nodes = &sh.detail.as_sharded().unwrap().per_node;
@@ -123,9 +105,9 @@ fn random_workload(n: usize, phases: &[(u8, u32, u32)]) -> Vec<aqs::node::Progra
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// All four engines — deterministic, threaded, optimistic, sharded —
-    /// agree on `messages_received`, `total_packets`, and `sim_end` for
-    /// random programs under the safe quantum `Q <= T`.
+    /// All four engines — deterministic, optimistic, sharded,
+    /// sharded-optimistic — agree on `messages_received`, `total_packets`,
+    /// and `sim_end` for random programs under the safe quantum `Q <= T`.
     #[test]
     fn four_engines_agree_on_random_programs(
         n in prop::sample::select(vec![2usize, 3, 4]),
@@ -141,27 +123,24 @@ proptest! {
                 .run()
         };
         let det = mk(EngineKind::Deterministic);
-        let par = mk(EngineKind::Threaded);
         let opt = mk(EngineKind::Optimistic);
-        // sim_end: all engines identical, sharded for every worker count.
-        prop_assert_eq!(par.sim_end, det.sim_end);
+        // sim_end: all engines identical, the sharded ones for every worker
+        // count. The full outcome comparison also covers total_packets and
+        // per-node messages_received and finish times.
         prop_assert_eq!(opt.sim_end, det.sim_end);
-        for workers in [1, 2, 4] {
-            let sh = Sim::new(programs.clone())
-                .engine(EngineKind::Sharded)
-                .shards(workers)
-                .sync(SyncConfig::ground_truth())
-                .seed(3)
-                .max_quanta(50_000_000)
-                .run();
-            prop_assert_eq!(sh.simulated_outcome(), det.simulated_outcome());
-            prop_assert_eq!(sh.stragglers.count(), 0);
+        for engine in [EngineKind::Sharded, EngineKind::ShardedOptimistic] {
+            for workers in [1, 2, 4] {
+                let sh = Sim::new(programs.clone())
+                    .engine(engine)
+                    .shards(workers)
+                    .sync(SyncConfig::ground_truth())
+                    .seed(3)
+                    .max_quanta(50_000_000)
+                    .run();
+                prop_assert_eq!(sh.simulated_outcome(), det.simulated_outcome());
+                prop_assert_eq!(sh.stragglers.count(), 0);
+            }
         }
-        // total_packets: identical between engines.
-        prop_assert_eq!(par.total_packets, det.total_packets);
-        // messages_received: identical per node across all three (covered
-        // by the full outcome comparison, which also checks finish times).
-        prop_assert_eq!(par.simulated_outcome(), det.simulated_outcome());
         for (o, d) in opt
             .detail
             .as_optimistic()
@@ -172,11 +151,10 @@ proptest! {
         {
             prop_assert_eq!(o.messages_received, d.messages_received);
         }
-        prop_assert_eq!(par.stragglers.count(), 0);
     }
 }
 
-/// The threaded engine's lock-free mailbox must never drop or duplicate a
+/// The sharded engines' lock-free mailbox must never drop or duplicate a
 /// fragment, under concurrent producers racing a draining consumer.
 #[test]
 fn mailbox_stress_no_drop_no_duplicate() {
@@ -196,8 +174,8 @@ fn mailbox_stress_no_drop_no_duplicate() {
             })
         })
         .collect();
-    // Drain concurrently with production, like a node thread at its
-    // scheduling points.
+    // Drain concurrently with production, like a worker at its quantum
+    // edge.
     let mut got: Vec<(u64, u64)> = Vec::new();
     while got.len() < (PRODUCERS * PER_PRODUCER) as usize {
         mb.drain_into(&mut got);
@@ -250,7 +228,7 @@ fn broadcast_workload(n: usize, rounds: usize, bytes: u64) -> Vec<aqs::node::Pro
 }
 
 /// `Destination::Broadcast` under every switch model: the fan-out must
-/// count one packet per fragment per receiver in all four engines, and the
+/// count one packet per fragment per receiver in every engine, and the
 /// per-destination transits must be independent (the perfect-switch count
 /// equals the non-perfect count; only timing changes).
 #[test]
@@ -270,17 +248,11 @@ fn broadcast_fan_out_counts_identically_across_engines() {
         SyncConfig::ground_truth(),
     );
     assert_eq!(det.total_packets, expected);
-    let par = run(
-        programs.clone(),
-        EngineKind::Threaded,
-        SyncConfig::ground_truth(),
-    );
     let opt = run(
         programs.clone(),
         EngineKind::Optimistic,
         SyncConfig::ground_truth(),
     );
-    assert_eq!(par.simulated_outcome(), det.simulated_outcome());
     assert_eq!(opt.total_packets, expected);
     for workers in [1, 2, 3] {
         let sh = Sim::new(programs.clone())
@@ -297,8 +269,8 @@ fn broadcast_fan_out_counts_identically_across_engines() {
 /// Broadcast under the two non-perfect switches: an asymmetric latency
 /// matrix and the fat-tree fabric. Each fan-out copy takes its own
 /// (src, dst)-keyed transit, so receivers see different arrival times — and
-/// the deterministic, threaded, and sharded (every M) engines must still
-/// agree bit for bit, safe quantum and unsafe quantum alike.
+/// the deterministic and sharded (every M) engines must still agree bit
+/// for bit under the safe quantum, and functionally under the unsafe one.
 #[test]
 fn broadcast_agrees_under_non_perfect_switches() {
     use aqs::cluster::SimSwitch;
@@ -347,8 +319,6 @@ fn broadcast_agrees_under_non_perfect_switches() {
             // (boundary snapping) but functional delivery must match.
             if sync == SyncConfig::ground_truth() {
                 assert_eq!(sharded[0].simulated_outcome(), det.simulated_outcome());
-                let thr = mk(EngineKind::Threaded, None);
-                assert_eq!(thr.simulated_outcome(), det.simulated_outcome());
             } else {
                 assert_eq!(sharded[0].total_packets, det.total_packets);
                 assert_eq!(sharded[0].messages_received, det.messages_received);
@@ -357,8 +327,10 @@ fn broadcast_agrees_under_non_perfect_switches() {
     }
 }
 
-/// With a long quantum the threaded engine's stragglers depend on real
-/// races, but functional delivery must still be complete.
+/// With a long quantum the sharded engine defers stragglers to the quantum
+/// edge while the deterministic engine delivers them at the receiver's
+/// position, so timelines may differ — but functional delivery must still
+/// be complete.
 #[test]
 fn long_quantum_keeps_functional_integrity() {
     let spec = burst(4, 100_000, 2048);
@@ -367,19 +339,19 @@ fn long_quantum_keeps_functional_integrity() {
         EngineKind::Deterministic,
         SyncConfig::fixed_micros(1000),
     );
-    let par = run(
+    let sh = run(
         spec.programs,
-        EngineKind::Threaded,
+        EngineKind::Sharded,
         SyncConfig::fixed_micros(1000),
     );
-    assert_eq!(par.messages_received, det.messages_received);
-    assert_eq!(par.total_packets, det.total_packets);
+    assert_eq!(sh.messages_received, det.messages_received);
+    assert_eq!(sh.total_packets, det.total_packets);
 }
 
 /// With a long (unsafe) quantum the sharded engine snaps every straggler to
-/// the sender's quantum edge at route time, so — unlike the threaded
-/// engine — its dilated timeline is fully deterministic: bit-identical
-/// outcomes for every worker count, stragglers included.
+/// the sender's quantum edge at route time, so its dilated timeline is fully
+/// deterministic: bit-identical outcomes for every worker count, stragglers
+/// included.
 #[test]
 fn long_quantum_sharded_is_identical_for_every_worker_count() {
     let spec = burst(4, 100_000, 2048);

@@ -11,7 +11,7 @@ use aqs::workloads::{burst, nas, ping_pong, Scale, WorkloadSpec};
 
 const ENGINES: [EngineKind; 3] = [
     EngineKind::Deterministic,
-    EngineKind::Threaded,
+    EngineKind::Sharded,
     EngineKind::Optimistic,
 ];
 
@@ -46,8 +46,8 @@ fn per_quantum_packets_sum_to_controller_total_on_every_engine() {
 }
 
 /// Same check under an adaptive policy on a heavier workload, where quanta
-/// lengths vary and stragglers appear (deterministic engine — the threaded
-/// engine's straggler timing is race-dependent).
+/// lengths vary and stragglers appear (deterministic engine, which delivers
+/// stragglers at the receiver's position as the paper's §3 does).
 #[test]
 fn packet_accounting_survives_adaptive_quanta_and_stragglers() {
     let spec = nas::is(4, Scale::Tiny);

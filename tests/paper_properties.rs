@@ -190,7 +190,7 @@ proptest! {
         let max = SimDuration::from_micros(min_us + span);
         let sync = SyncConfig::Adaptive(AdaptiveConfig::new(min, max, inc, dec));
         let spec = ping_pong(2, rounds, bytes);
-        for engine in [EngineKind::Deterministic, EngineKind::Threaded] {
+        for engine in [EngineKind::Deterministic, EngineKind::Sharded] {
             let report = Sim::new(spec.programs.clone())
                 .engine(engine)
                 .config(ClusterConfig::new(sync.clone()).with_seed(31))

@@ -36,8 +36,8 @@ fn allreduce_chaos_is_bit_identical_across_engines_and_worker_counts() {
     assert_eq!(scenario.shards, vec![1, 2, 4]);
 
     let report = run_scenario(&scenario).expect("scenario passes its assertions");
-    // deterministic + threaded + sharded {1,2,4}
-    assert_eq!(report.runs.len(), 5);
+    // deterministic + sharded {1,2,4}
+    assert_eq!(report.runs.len(), 4);
     let outcome = report.runs[0].report.simulated_outcome();
     for run in &report.runs[1..] {
         assert_eq!(
