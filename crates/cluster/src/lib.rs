@@ -26,9 +26,11 @@
 //!   bound. Run as [`EngineKind::Hybrid`], the same engine adds the
 //!   adaptive conservative/optimistic [`HybridPolicy`].
 //!
-//! The real-thread engines share the [`parallel`] substrate (switch models,
-//! run configuration, barrier-leader state). All five are driven through
-//! one entry point: the [`Sim`] builder.
+//! The two real-thread engines are one mechanism that differs only inside a
+//! window, so they share one [`parallel`] substrate: the switch transit
+//! table, the run prologue (resume checks, policy, node executors), the
+//! snapshot seed router, and the spawn/join epilogue. All five engines are
+//! driven through one entry point: the [`Sim`] builder.
 //!
 //! # Quick start
 //!

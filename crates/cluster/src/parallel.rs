@@ -1,19 +1,21 @@
 //! Shared substrate of the real-thread engines.
 //!
 //! The [`sharded`](crate::sharded) and
-//! [`sharded_optimistic`](crate::sharded_optimistic) engines run node
-//! simulators on worker threads and meet at quantum barriers. This module
-//! holds what both of them use:
+//! [`sharded_optimistic`](crate::sharded_optimistic) engines run the same
+//! mechanism — node simulators on worker threads meeting at quantum
+//! barriers — and differ only in what happens inside a window. This module
+//! holds everything both of them use:
 //!
-//! * [`ParallelSwitch`] — the pure switch models a worker may route through
-//!   without sharing mutable state;
-//! * [`ParallelConfig`] — the run configuration the [`Sim`](crate::Sim)
-//!   builder hands to either engine;
-//! * [`ParallelNodeResult`] — the per-node outcome both engines report;
-//! * the barrier leader's state (policy, counters, recorder) and the
-//!   `q_end` stop sentinel it publishes;
-//! * `busy_work`, which burns real CPU time per simulated op to emulate a
-//!   node simulator's own execution cost.
+//! * `ArrivalTable` — the pure switch transit table, built once by
+//!   [`Sim`](crate::Sim) from its switch and chaos overlay;
+//! * `ParallelConfig` — the run configuration `Sim` hands to either
+//!   engine;
+//! * `prologue` — the run setup: resume checks, worker clamp, policy,
+//!   first quantum edge, seed routing, and one `NodeInit` per node;
+//! * `route_seed_frags` — routes a snapshot's cut-in-flight fragments;
+//! * `run_shards` — the epilogue: scoped spawn and join, quantum-cap
+//!   overflow, and the rank-ordered [`ParallelNodeResult`]s;
+//! * `partition` and `busy_work`.
 //!
 //! # Examples
 //!
@@ -33,117 +35,115 @@
 //! assert_eq!(report.messages_received, 1);
 //! ```
 
+use crate::sim::{EngineKind, SimError, SimSwitch};
+use crate::snapshot::{FragSnap, ResumeSeed};
 use aqs_core::{QuantumPolicy, SyncConfig};
-use aqs_net::{ChaosOverlay, FatTreeFabric, LatencyMatrixSwitch, LinkLoad, NicModel};
-use aqs_node::{CpuModel, Rank, RegionRecord};
-use aqs_time::SimTime;
+use aqs_net::{ChaosOverlay, FatTreeFabric, NicModel, NodeId, StragglerStats};
+use aqs_node::{
+    Action, CpuModel, MessageId, MessageMeta, NodeExecutor, Program, Rank, RegionRecord, SendTarget,
+};
+use aqs_time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
-/// Switch models available to the real-thread engines.
+/// Precomputed switch transit: the per-packet lookup is one indexed load of
+/// a nanosecond count (dense matrix) or a pure SoA computation (fabric) —
+/// no enum dispatch over trait objects, no bounds assert, no allocation.
 ///
-/// Only pure models are offered: their transit delay is a function of
-/// `(src, dst, bytes, departure)` alone, so worker threads can compute
-/// arrivals without sharing mutable switch state — and call order cannot
-/// change any result. [`aqs_net::StoreAndForwardSwitch`] is deliberately
-/// absent — its per-egress queue would re-serialize every route call behind
-/// a lock, and its result would depend on thread timing.
-#[derive(Clone, Debug, Default)]
-pub enum ParallelSwitch {
-    /// Infinite bandwidth, zero transit delay (the paper's evaluation
-    /// switch).
-    #[default]
+/// Only pure models exist here: transit is a function of
+/// `(src, dst, bytes, departure)` alone, so worker threads compute arrivals
+/// without sharing mutable switch state and call order cannot change any
+/// result. The store-and-forward switch is absent — its per-egress queue
+/// would serialize every route call behind a lock.
+pub(crate) enum ArrivalTable {
+    /// Perfect switch: zero transit, nothing to look up.
     Perfect,
-    /// Fixed per-(src, dst) latency, as in the deterministic engine's
-    /// [`LatencyMatrixSwitch`].
-    LatencyMatrix(LatencyMatrixSwitch),
-    /// The modeled fat-tree fabric: pure epoch-keyed transit (see
-    /// [`FatTreeFabric`]), safe under any routing order.
+    /// Dense `n × n` row-major transit nanoseconds.
+    Dense { n: usize, nanos: Vec<u64> },
+    /// The fat-tree fabric: transit is a pure function of
+    /// `(src, dst, bytes, departure)`, so per-worker slices can route their
+    /// own racks' traffic in any order with bit-identical results.
     Fabric(FatTreeFabric),
-    /// Chaos middleware over another pure model: the wrapped switch computes
-    /// the base transit and the [`ChaosOverlay`] adds its seeded fault delay
-    /// on top. The overlay is itself a pure function of
-    /// `(src, dst, bytes, departure)`, so the determinism guarantee holds.
-    Chaos(ChaosOverlay, Box<ParallelSwitch>),
+    /// Chaos middleware over another table: the inner table computes the
+    /// base transit and the overlay adds its seeded fault delay — pure, so
+    /// cross-M identity survives fault injection. The overlay cannot be
+    /// folded into a dense matrix: its delay depends on `bytes` and
+    /// `departure`, not just `(src, dst)`.
+    Chaos(ChaosOverlay, Box<ArrivalTable>),
 }
 
-/// Configuration of a real-thread run.
-///
-/// The `with_*` setters are **order-independent**: each one stores a single
-/// field and derives nothing, so any permutation of the same calls builds
-/// the same configuration.
-#[derive(Clone, Debug)]
-pub struct ParallelConfig {
-    /// Synchronization policy.
-    pub sync: SyncConfig,
-    /// NIC timing model.
-    pub nic: NicModel,
-    /// CPU timing model.
-    pub cpu: CpuModel,
-    /// Switch timing model.
-    pub switch: ParallelSwitch,
-    /// Real host nanoseconds of busy-work burned per simulated operation —
-    /// emulates the execution cost of the node simulator itself. Zero runs
-    /// the functional simulation at full speed.
-    pub host_work_per_op: f64,
-    /// Hard cap on quanta (guards against deadlocked workloads, which the
-    /// real-thread engines cannot otherwise detect). `u64::MAX` by default.
-    pub max_quanta: u64,
-    /// Forces the sharded engines to execute every node every quantum
-    /// instead of consulting the active-set wake wheel. A debug/differential
-    /// mode: the full sweep is the legacy pre-active-set behavior and the
-    /// oracle baseline that active-set runs must match bit for bit. Ignored
-    /// by engines without active-set scheduling.
-    pub full_sweep: bool,
-}
-
-impl ParallelConfig {
-    /// Creates a configuration with the paper-default NIC/CPU models, the
-    /// perfect switch, and no busy-work.
-    pub fn new(sync: SyncConfig) -> Self {
-        Self {
-            sync,
-            nic: NicModel::paper_default(),
-            cpu: CpuModel::default(),
-            switch: ParallelSwitch::default(),
-            host_work_per_op: 0.0,
-            max_quanta: u64::MAX,
-            full_sweep: false,
+impl ArrivalTable {
+    /// Builds the table for `n` nodes from a switch [`Sim::validate`]
+    /// accepted for a real-thread engine (so never store-and-forward, and a
+    /// latency matrix has at least `n` ports).
+    ///
+    /// [`Sim::validate`]: crate::Sim
+    pub(crate) fn new(switch: SimSwitch, overlay: Option<ChaosOverlay>, n: usize) -> Self {
+        let base = match switch {
+            SimSwitch::Perfect => ArrivalTable::Perfect,
+            SimSwitch::LatencyMatrix(m) => {
+                let mut nanos = Vec::with_capacity(n * n);
+                for src in 0..n {
+                    for dst in 0..n {
+                        nanos.push(
+                            m.latency(NodeId::new(src as u32), NodeId::new(dst as u32))
+                                .as_nanos(),
+                        );
+                    }
+                }
+                ArrivalTable::Dense { n, nanos }
+            }
+            SimSwitch::Fabric(cfg) => ArrivalTable::Fabric(FatTreeFabric::new(cfg, n)),
+            SimSwitch::StoreAndForward(_) => {
+                unreachable!("rejected by Sim::validate before dispatch")
+            }
+        };
+        match overlay {
+            Some(o) => ArrivalTable::Chaos(o, Box::new(base)),
+            None => base,
         }
     }
 
-    /// Sets the busy-work factor (host ns per simulated op).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is negative or not finite.
-    pub fn with_host_work_per_op(mut self, factor: f64) -> Self {
-        assert!(
-            factor.is_finite() && factor >= 0.0,
-            "factor must be >= 0, got {factor}"
-        );
-        self.host_work_per_op = factor;
-        self
+    #[inline]
+    pub(crate) fn transit_nanos(
+        &self,
+        src: usize,
+        dst: usize,
+        bytes: u32,
+        departure: SimTime,
+    ) -> u64 {
+        match self {
+            ArrivalTable::Perfect => 0,
+            ArrivalTable::Dense { n, nanos } => nanos[src * n + dst],
+            ArrivalTable::Fabric(f) => {
+                f.transit_nanos(src as u32, dst as u32, bytes, departure.as_nanos())
+            }
+            ArrivalTable::Chaos(overlay, inner) => {
+                inner.transit_nanos(src, dst, bytes, departure)
+                    + overlay.extra_nanos(src as u32, dst as u32, bytes, departure.as_nanos())
+            }
+        }
     }
+}
 
-    /// Sets the quantum cap.
-    pub fn with_max_quanta(mut self, max: u64) -> Self {
-        self.max_quanta = max;
-        self
-    }
-
-    /// Sets the switch model.
-    pub fn with_switch(mut self, switch: ParallelSwitch) -> Self {
-        self.switch = switch;
-        self
-    }
-
-    /// Forces the full-sweep (non-active-set) execution path in the sharded
-    /// engines. See [`ParallelConfig::full_sweep`].
-    pub fn with_full_sweep(mut self, full_sweep: bool) -> Self {
-        self.full_sweep = full_sweep;
-        self
-    }
+/// Configuration of a real-thread run, assembled by
+/// [`Sim`](crate::Sim) from its own setters.
+pub(crate) struct ParallelConfig {
+    pub(crate) sync: SyncConfig,
+    pub(crate) nic: NicModel,
+    pub(crate) cpu: CpuModel,
+    pub(crate) arrivals: ArrivalTable,
+    /// Real host nanoseconds of busy-work burned per simulated operation —
+    /// emulates the execution cost of the node simulator itself.
+    pub(crate) host_work_per_op: f64,
+    /// Hard cap on quanta (the deadlock guard).
+    pub(crate) max_quanta: u64,
+    /// Execute every node every quantum instead of consulting the active
+    /// set: the differential baseline active-set runs must match bit for
+    /// bit.
+    pub(crate) full_sweep: bool,
 }
 
 /// Per-node outcome of a real-thread run.
@@ -162,37 +162,362 @@ pub struct ParallelNodeResult {
     pub regions: Vec<RegionRecord>,
 }
 
-/// Stop sentinel published through `q_end`.
-pub(crate) const Q_END_STOP: u64 = u64::MAX;
+impl ParallelNodeResult {
+    /// The outcome of `exec`, finished at `finish_sim` unless its program
+    /// recorded its own finish time.
+    pub(crate) fn of(exec: &NodeExecutor, finish_sim: SimTime) -> Self {
+        Self {
+            rank: exec.rank(),
+            finish_sim: exec.finish_time().unwrap_or(finish_sim),
+            ops: exec.ops_executed(),
+            messages_received: exec.messages_received(),
+            regions: exec.regions().to_vec(),
+        }
+    }
+}
 
-/// State only the barrier leader touches, via
-/// [`TreeBarrier::arrive`](aqs_sync::TreeBarrier::arrive) — no mutex:
-/// exclusivity comes from the barrier protocol itself.
-pub(crate) struct LeaderState<R> {
+/// Initial state of one node simulator: a fresh executor at sim time zero,
+/// or a restored executor at the snapshot's cut point.
+pub(crate) struct NodeInit {
+    pub(crate) exec: NodeExecutor,
+    pub(crate) sim: SimTime,
+    pub(crate) msg_seq: u64,
+    /// Remainder (ns) of an op cut at the quantum edge; 0 means none.
+    pub(crate) pending_ns: u64,
+    pub(crate) done: bool,
+}
+
+/// Everything a real-thread run starts from, fresh or resumed.
+pub(crate) struct RunStart {
+    /// Worker (= shard) count, clamped to `[1, n]`.
+    pub(crate) m: usize,
+    /// The policy, with its resumed state loaded.
     pub(crate) policy: Box<dyn QuantumPolicy>,
-    /// Quanta completed (including the stop round, matching the old
-    /// centralized counter).
+    /// Start of the first quantum.
+    pub(crate) q_start: SimTime,
+    /// End of the first quantum in sim ns.
+    pub(crate) q_end0: u64,
+    /// Quanta completed before the run (nonzero only on resume).
     pub(crate) quanta: u64,
-    /// Packets routed over the whole run (sum of the per-worker slots).
+    /// Packets routed before the run, the seed fragments included.
     pub(crate) total_packets: u64,
-    /// Start of the current quantum in sim ns (the previous `q_end_nanos`).
-    pub(crate) q_start_nanos: u64,
-    /// Current quantum end in sim ns, mirrored into the engine's shared
-    /// `q_end`.
-    pub(crate) q_end_nanos: u64,
-    pub(crate) max_quanta: u64,
-    /// Observability recorder. Leader-exclusive like the rest of this
-    /// struct, so recording needs no lock and stays off the packet path.
-    pub(crate) rec: R,
-    /// Scratch lanes for sample assembly, reused across quanta.
-    pub(crate) waits: Vec<u64>,
-    pub(crate) lags: Vec<u64>,
-    /// Per-link load merge scratch (sharded engine with a fabric switch and
-    /// recording enabled; empty — and untouched — otherwise).
-    pub(crate) link_load: LinkLoad,
-    /// Per-shard active-node merge scratch (sharded engine with recording
-    /// enabled; empty — and untouched — otherwise).
-    pub(crate) shard_actives: Vec<u64>,
+    /// Stragglers recorded before the run, the seed snaps included.
+    pub(crate) stragglers: StragglerStats,
+    /// Nodes whose program had already finished.
+    pub(crate) n_done: u64,
+    /// One initial state per node, in rank order.
+    pub(crate) nodes: Vec<NodeInit>,
+}
+
+/// Default worker count: the host's available parallelism.
+pub(crate) fn default_workers() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+}
+
+/// Balanced contiguous partition of `n` nodes over `m` shards: the first
+/// `n % m` shards get one extra node.
+pub(crate) fn partition(n: usize, m: usize) -> Vec<Range<usize>> {
+    let base = n / m;
+    let rem = n % m;
+    let mut ranges = Vec::with_capacity(m);
+    let mut start = 0;
+    for s in 0..m {
+        let len = base + usize::from(s < rem);
+        ranges.push(start..start + len);
+        start += len;
+    }
+    ranges
+}
+
+/// The run setup both engines share: checks a resume seed against the
+/// cluster, clamps the worker count, builds the policy (loading its resumed
+/// state), fixes the first quantum edge, routes the seed's in-flight
+/// fragments into `sink` (see [`route_seed_frags`]), and builds each node's
+/// executor — fresh, or restored from the seed.
+///
+/// `programs` have passed [`Sim`](crate::Sim)'s validation: at least two,
+/// program *i* for rank *i*.
+pub(crate) fn prologue(
+    programs: Vec<Program>,
+    config: &ParallelConfig,
+    workers: Option<usize>,
+    resume: Option<&ResumeSeed>,
+    sink: impl FnMut(usize, SimTime, &FragSnap),
+) -> Result<RunStart, SimError> {
+    let n = programs.len();
+    if let Some(s) = resume {
+        if s.nodes.len() != n {
+            return Err(SimError::snapshot_format(format!(
+                "snapshot has {} nodes, simulation has {n}",
+                s.nodes.len()
+            )));
+        }
+    }
+    let m = workers.unwrap_or_else(default_workers).clamp(1, n);
+    let policy = config.sync.build();
+    let q0 = policy.initial_quantum();
+    let mut start = RunStart {
+        m,
+        policy,
+        q_start: SimTime::ZERO,
+        q_end0: q0.as_nanos(),
+        quanta: 0,
+        total_packets: 0,
+        stragglers: StragglerStats::default(),
+        n_done: 0,
+        nodes: Vec::with_capacity(n),
+    };
+    let Some(s) = resume else {
+        start
+            .nodes
+            .extend(programs.into_iter().map(|program| NodeInit {
+                exec: NodeExecutor::new(program, config.cpu),
+                sim: SimTime::ZERO,
+                msg_seq: 0,
+                pending_ns: 0,
+                done: false,
+            }));
+        return Ok(start);
+    };
+    start
+        .policy
+        .load_state(&s.policy_state)
+        .map_err(SimError::snapshot_format)?;
+    start.q_start = s.q_start;
+    start.q_end0 = (s.q_start + s.q_len).as_nanos();
+    start.quanta = s.quanta;
+    let (routed, snapped) = route_seed_frags(s, &config.nic, &config.arrivals, n, sink)?;
+    start.total_packets = s.total_packets + routed;
+    start.stragglers = s.stragglers;
+    start.stragglers.merge(&snapped);
+    for (i, (program, ns)) in programs.into_iter().zip(&s.nodes).enumerate() {
+        start.n_done += u64::from(ns.done);
+        start.nodes.push(NodeInit {
+            exec: NodeExecutor::from_state(program, config.cpu, ns.exec.clone())
+                .map_err(|e| SimError::snapshot_format(format!("node {i}: {e}")))?,
+            sim: s.q_start,
+            msg_seq: ns.msg_seq,
+            pending_ns: ns.pending.map_or(0, |d| d.as_nanos()),
+            done: ns.done,
+        });
+    }
+    Ok(start)
+}
+
+/// Routes the snapshot's cut-in-flight fragments ahead of the first resumed
+/// quantum, handing each fan-out copy to `sink` as
+/// `(dst, effective arrival, fragment)`.
+///
+/// The effective arrival is `max(arrival, q_start)` — the *same* rule the
+/// uninterrupted run applied at route time, because every captured fragment
+/// departed during the quantum that ended at the cut, so the sender's
+/// `q_end` then equals the resumed run's `q_start` now. The straggler
+/// records this snapping produces are therefore bit-identical to the
+/// uninterrupted run's, for any policy.
+///
+/// Returns the number of copies routed and the stragglers recorded. A
+/// sender or unicast receiver outside the cluster is a
+/// [`SimError::SnapshotFormat`].
+pub(crate) fn route_seed_frags(
+    seed: &ResumeSeed,
+    nic: &NicModel,
+    arrivals: &ArrivalTable,
+    n: usize,
+    mut sink: impl FnMut(usize, SimTime, &FragSnap),
+) -> Result<(u64, StragglerStats), SimError> {
+    let mut count = 0u64;
+    let mut stragglers = StragglerStats::default();
+    for pf in &seed.frags {
+        let src = pf.src as usize;
+        if src >= n {
+            return Err(SimError::snapshot_format(format!(
+                "in-flight fragment from node {src}, but the cluster has {n} nodes"
+            )));
+        }
+        let frag = &pf.frag;
+        let base = nic.earliest_arrival(frag.departure);
+        let deliver_to = |t: usize| {
+            let arrival = base
+                + SimDuration::from_nanos(arrivals.transit_nanos(
+                    src,
+                    t,
+                    frag.bytes,
+                    frag.departure,
+                ));
+            let eff = if arrival < seed.q_start {
+                stragglers.record(seed.q_start - arrival);
+                seed.q_start
+            } else {
+                arrival
+            };
+            sink(t, eff, frag);
+            count += 1;
+        };
+        let dst = match frag.dst {
+            Some(r) if r as usize >= n => {
+                return Err(SimError::snapshot_format(format!(
+                    "in-flight fragment for node {r}, but the cluster has {n} nodes"
+                )));
+            }
+            Some(r) => SendTarget::Rank(Rank::new(r)),
+            None => SendTarget::All,
+        };
+        for_each_target(dst, src, n, deliver_to);
+    }
+    Ok((count, stragglers))
+}
+
+/// Advances one node simulator from `sim` to the window edge — the inner
+/// loop both engines share. An op that straddles the edge carries its
+/// remainder in `pending_ns` (0 = none; [`Action::Advance`] durations are
+/// never zero). Each NIC fragment of a send is handed to `send` as
+/// `(dst, departure, meta, frag_index, frag_bytes)`: the sharded engine
+/// routes it in place, the optimistic engine captures it for its leader.
+///
+/// Returns `(lag_ns, wake_ns)`: the node's idle tail before the edge (0 when
+/// busy to the edge) and its next wake — `edge` when it must run again next
+/// window (mid-op remainder, or more program to poll), a timer's deadline,
+/// or `u64::MAX` when only a delivery can wake it (blocked or finished).
+#[inline]
+pub(crate) fn advance_to_edge(
+    exec: &mut NodeExecutor,
+    sim: &mut SimTime,
+    pending_ns: &mut u64,
+    msg_seq: &mut u64,
+    edge: SimTime,
+    config: &ParallelConfig,
+    mut send: impl FnMut(SendTarget, SimTime, MessageMeta, u32, u32),
+) -> (u64, u64) {
+    let mut lag_ns = 0u64;
+    let mut wake = edge.as_nanos();
+    while *sim < edge {
+        if *pending_ns != 0 {
+            let remaining = SimDuration::from_nanos(*pending_ns);
+            let step = remaining.min(edge - *sim);
+            *sim += step;
+            *pending_ns = (remaining - step).as_nanos();
+            continue; // a remainder left means the edge was reached mid-op
+        }
+        match exec.next_action(*sim) {
+            Action::Advance { dur, ops, idle } => {
+                if !idle && config.host_work_per_op > 0.0 && ops > 0 {
+                    busy_work(ops as f64 * config.host_work_per_op);
+                }
+                *pending_ns = dur.as_nanos();
+            }
+            Action::Send { dst, bytes, tag } => {
+                let nic = &config.nic;
+                let frag_count = nic.fragment_count(bytes);
+                let meta = MessageMeta {
+                    id: MessageId {
+                        src: exec.rank(),
+                        seq: *msg_seq,
+                    },
+                    tag,
+                    bytes,
+                    frag_count,
+                };
+                *msg_seq += 1;
+                for k in 0..frag_count {
+                    let sz = nic.fragment_size(bytes, k);
+                    *sim += nic.serialization_delay(sz);
+                    send(dst, *sim, meta, k, sz);
+                }
+            }
+            Action::WaitUntil(t) if t < edge => *sim = t,
+            Action::WaitUntil(t) => {
+                lag_ns = (edge - *sim).as_nanos();
+                wake = t.as_nanos();
+                *sim = edge;
+            }
+            Action::Blocked | Action::Finished => {
+                lag_ns = (edge - *sim).as_nanos();
+                wake = u64::MAX;
+                *sim = edge;
+            }
+        }
+    }
+    *sim = (*sim).max(edge);
+    (lag_ns, wake)
+}
+
+/// Fan-out targets of one send: its rank, or every node but the sender.
+#[inline]
+pub(crate) fn for_each_target(dst: SendTarget, src: usize, n: usize, mut f: impl FnMut(usize)) {
+    match dst {
+        SendTarget::Rank(r) => f(r.index()),
+        SendTarget::All => (0..n).filter(|&t| t != src).for_each(f),
+    }
+}
+
+/// What [`run_shards`] hands back once every worker has joined.
+pub(crate) struct ShardsJoined<T> {
+    /// Wall-clock from `start` to the join.
+    pub(crate) wall: Duration,
+    /// Simulated completion time (max across nodes).
+    pub(crate) sim_end: SimTime,
+    /// Per-node results, in rank order.
+    pub(crate) per_node: Vec<ParallelNodeResult>,
+    /// Each worker's own extra output, in shard order.
+    pub(crate) extras: Vec<T>,
+}
+
+/// The run epilogue both engines share: spawns one scoped worker per shard
+/// — `worker(w, base, nodes)` with shard `w`'s first global index and its
+/// nodes' initial states — joins them in shard order, and maps a raised
+/// `overflow` flag to [`SimError::QuantumCapExceeded`]. Shards are
+/// contiguous and joined in order, so flattening their results yields rank
+/// order.
+pub(crate) fn run_shards<T: Send>(
+    ranges: &[Range<usize>],
+    nodes: Vec<NodeInit>,
+    start: Instant,
+    overflow: &AtomicBool,
+    engine: EngineKind,
+    max_quanta: u64,
+    worker: impl Fn(usize, usize, Vec<NodeInit>) -> (Vec<ParallelNodeResult>, T) + Sync,
+) -> Result<ShardsJoined<T>, SimError> {
+    let n = nodes.len();
+    let mut nodes = nodes.into_iter();
+    let joined: Vec<(Vec<ParallelNodeResult>, T)> = std::thread::scope(|scope| {
+        let worker = &worker;
+        let handles: Vec<_> = ranges
+            .iter()
+            .enumerate()
+            .map(|(w, range)| {
+                let shard: Vec<NodeInit> = nodes.by_ref().take(range.len()).collect();
+                let base = range.start;
+                scope.spawn(move || worker(w, base, shard))
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("worker thread panicked"))
+            .collect()
+    });
+    if overflow.load(Ordering::Acquire) {
+        return Err(SimError::QuantumCapExceeded { engine, max_quanta });
+    }
+    let wall = start.elapsed();
+    let mut per_node = Vec::with_capacity(n);
+    let mut extras = Vec::with_capacity(ranges.len());
+    for (results, extra) in joined {
+        per_node.extend(results);
+        extras.push(extra);
+    }
+    let sim_end = per_node
+        .iter()
+        .map(|r| r.finish_sim)
+        .max()
+        .expect("at least two nodes");
+    Ok(ShardsJoined {
+        wall,
+        sim_end,
+        per_node,
+        extras,
+    })
 }
 
 /// Burns approximately `ns` nanoseconds of real CPU time.
@@ -210,5 +535,92 @@ pub(crate) fn busy_work(ns: f64) {
             x ^= x << 17;
         }
         std::hint::black_box(x);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::snapshot::PendingFrag;
+    use aqs_node::{MessageId, MessageMeta, Tag};
+
+    /// A seed cut at `q_start` carrying one 64-byte fragment per
+    /// `(src, dst, departure)`.
+    fn seed(q_start: SimTime, frags: &[(u32, Option<u32>, SimTime)]) -> ResumeSeed {
+        let frags = frags
+            .iter()
+            .map(|&(src, dst, departure)| PendingFrag {
+                src,
+                frag: FragSnap {
+                    departure,
+                    dst,
+                    bytes: 64,
+                    meta: MessageMeta {
+                        id: MessageId {
+                            src: Rank::new(src),
+                            seq: 0,
+                        },
+                        tag: Tag::new(0),
+                        bytes: 64,
+                        frag_count: 1,
+                    },
+                    frag_index: 0,
+                },
+            })
+            .collect();
+        ResumeSeed {
+            q_start,
+            q_len: SimDuration::from_micros(1),
+            policy_state: Vec::new(),
+            quanta: 1,
+            total_packets: 0,
+            stragglers: StragglerStats::default(),
+            nodes: Vec::new(),
+            frags,
+        }
+    }
+
+    /// Routes `seed` over a perfect switch in a 4-node cluster, collecting
+    /// every `(dst, effective arrival)` the sink receives; the returned
+    /// count must match the sink's.
+    fn route(seed: &ResumeSeed) -> Result<(Vec<(usize, SimTime)>, StragglerStats), SimError> {
+        let mut sunk = Vec::new();
+        let nic = NicModel::paper_default();
+        let (count, stragglers) =
+            route_seed_frags(seed, &nic, &ArrivalTable::Perfect, 4, |t, eff, _| {
+                sunk.push((t, eff));
+            })?;
+        assert_eq!(count, sunk.len() as u64);
+        Ok((sunk, stragglers))
+    }
+
+    #[test]
+    fn seed_router_rejects_out_of_range_nodes() {
+        let cut = SimTime::from_micros(10);
+        for frag in [(4, Some(0), cut), (0, Some(4), cut)] {
+            let err = route(&seed(cut, &[frag])).unwrap_err();
+            assert!(
+                matches!(err, SimError::SnapshotFormat { .. }),
+                "{frag:?}: {err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn seed_router_fans_broadcasts_out_and_snaps_early_arrivals_to_the_cut() {
+        let cut = SimTime::from_micros(10);
+        // A broadcast departing at the cut arrives one NIC latency later at
+        // every node but its sender.
+        let (sunk, stragglers) = route(&seed(cut, &[(1, None, cut)])).expect("routes");
+        let late = cut + SimDuration::from_micros(1);
+        assert_eq!(sunk, vec![(0, late), (2, late), (3, late)]);
+        assert_eq!(stragglers.count(), 0);
+        // A fragment that would arrive 4 µs before the cut is delivered at
+        // the cut and recorded as a straggler of that delay.
+        let early = cut - SimDuration::from_micros(5);
+        let (sunk, stragglers) = route(&seed(cut, &[(0, Some(2), early)])).expect("routes");
+        assert_eq!(sunk, vec![(2, cut)]);
+        assert_eq!(stragglers.count(), 1);
+        assert_eq!(stragglers.max_delay(), SimDuration::from_micros(4));
     }
 }

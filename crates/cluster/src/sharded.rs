@@ -54,14 +54,14 @@
 //! ```
 
 use crate::parallel::{
-    busy_work, LeaderState, ParallelConfig, ParallelNodeResult, ParallelSwitch, Q_END_STOP,
+    advance_to_edge, for_each_target, partition, prologue, run_shards, ArrivalTable, NodeInit,
+    ParallelConfig, ParallelNodeResult,
 };
 use crate::sim::{EngineKind, SimError};
 use crate::snapshot::ResumeSeed;
-use aqs_net::{
-    ChaosOverlay, Destination, FatTreeFabric, LinkLoad, NicModel, NodeId, StragglerStats,
-};
-use aqs_node::{Action, MessageId, MessageMeta, NodeExecutor, Program, SendTarget};
+use aqs_core::QuantumPolicy;
+use aqs_net::{LinkLoad, StragglerStats};
+use aqs_node::{MessageMeta, NodeExecutor, Program, SendTarget};
 use aqs_obs::{QuantumObs, Recorder};
 use aqs_sync::{ArrivalTimes, CachePadded, Mailbox, MailboxPool, PoolDepot, TreeBarrier};
 use aqs_time::{SimDuration, SimTime};
@@ -110,13 +110,6 @@ impl ShardedRunResult {
     }
 }
 
-/// Default worker count: the host's available parallelism.
-pub(crate) fn default_workers() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
 /// A fragment in flight to one receiver, addressed by global node index.
 /// `arrival` is already the effective (boundary-deferred) delivery time.
 #[derive(Clone, Copy, Debug)]
@@ -127,83 +120,35 @@ struct ShardInFlight {
     arrival: SimTime,
 }
 
-/// Precomputed switch transit: the per-packet lookup is one indexed load of
-/// a nanosecond count (dense matrix) or a pure SoA computation (fabric) —
-/// no enum dispatch over trait objects, no bounds assert, no allocation.
-pub(crate) enum ArrivalTable {
-    /// Perfect switch: zero transit, nothing to look up.
-    Perfect,
-    /// Dense `n × n` row-major transit nanoseconds.
-    Dense { n: usize, nanos: Vec<u64> },
-    /// The fat-tree fabric: transit is a pure function of
-    /// `(src, dst, bytes, departure)`, so per-worker slices can route their
-    /// own racks' traffic in any order with bit-identical results.
-    Fabric(FatTreeFabric),
-    /// Chaos middleware over another table: the inner table computes the
-    /// base transit and the overlay adds its seeded fault delay — pure, so
-    /// cross-M identity survives fault injection. The overlay cannot be
-    /// folded into a dense matrix: its delay depends on `bytes` and
-    /// `departure`, not just `(src, dst)`.
-    Chaos(ChaosOverlay, Box<ArrivalTable>),
-}
+/// Stop sentinel published through `q_end`.
+const Q_END_STOP: u64 = u64::MAX;
 
-impl ArrivalTable {
-    pub(crate) fn build(switch: &ParallelSwitch, n: usize) -> Self {
-        match switch {
-            ParallelSwitch::Perfect => ArrivalTable::Perfect,
-            ParallelSwitch::LatencyMatrix(m) => {
-                assert!(
-                    m.ports() >= n,
-                    "latency matrix has {} ports for {} nodes",
-                    m.ports(),
-                    n
-                );
-                let mut nanos = Vec::with_capacity(n * n);
-                for src in 0..n {
-                    for dst in 0..n {
-                        nanos.push(
-                            m.latency(NodeId::new(src as u32), NodeId::new(dst as u32))
-                                .as_nanos(),
-                        );
-                    }
-                }
-                ArrivalTable::Dense { n, nanos }
-            }
-            ParallelSwitch::Fabric(f) => {
-                assert!(
-                    f.n_nodes() >= n,
-                    "fabric was built for {} nodes, cluster has {}",
-                    f.n_nodes(),
-                    n
-                );
-                ArrivalTable::Fabric(f.clone())
-            }
-            ParallelSwitch::Chaos(overlay, inner) => {
-                ArrivalTable::Chaos(overlay.clone(), Box::new(Self::build(inner, n)))
-            }
-        }
-    }
-
-    #[inline]
-    pub(crate) fn transit_nanos(
-        &self,
-        src: usize,
-        dst: usize,
-        bytes: u32,
-        departure: SimTime,
-    ) -> u64 {
-        match self {
-            ArrivalTable::Perfect => 0,
-            ArrivalTable::Dense { n, nanos } => nanos[src * n + dst],
-            ArrivalTable::Fabric(f) => {
-                f.transit_nanos(src as u32, dst as u32, bytes, departure.as_nanos())
-            }
-            ArrivalTable::Chaos(overlay, inner) => {
-                inner.transit_nanos(src, dst, bytes, departure)
-                    + overlay.extra_nanos(src as u32, dst as u32, bytes, departure.as_nanos())
-            }
-        }
-    }
+/// State only the barrier leader touches, via
+/// [`TreeBarrier::arrive`] — no mutex: exclusivity comes from the barrier
+/// protocol itself.
+struct LeaderState<R> {
+    policy: Box<dyn QuantumPolicy>,
+    /// Quanta completed (including the stop round).
+    quanta: u64,
+    /// Packets routed over the whole run (sum of the per-worker slots).
+    total_packets: u64,
+    /// Start of the current quantum in sim ns (the previous `q_end_nanos`).
+    q_start_nanos: u64,
+    /// Current quantum end in sim ns, mirrored into the shared `q_end`.
+    q_end_nanos: u64,
+    max_quanta: u64,
+    /// Observability recorder. Leader-exclusive like the rest of this
+    /// struct, so recording needs no lock and stays off the packet path.
+    rec: R,
+    /// Scratch lanes for sample assembly, reused across quanta.
+    waits: Vec<u64>,
+    lags: Vec<u64>,
+    /// Per-link load merge scratch (fabric switch with recording enabled;
+    /// empty — and untouched — otherwise).
+    link_load: LinkLoad,
+    /// Per-shard active-node merge scratch (recording enabled; empty — and
+    /// untouched — otherwise).
+    shard_actives: Vec<u64>,
 }
 
 /// One worker's (= one fabric slice's) per-link load accumulator. Each
@@ -275,7 +220,7 @@ struct ShardNodes {
     /// Per-node send sequence counter.
     msg_seq: Vec<u64>,
     /// Remainder (ns) of an op that did not fit in the previous quantum;
-    /// 0 means none ([`Action::Advance`] durations are never zero — the
+    /// 0 means none (`Action::Advance` durations are never zero — the
     /// executor consumes zero-cost ops internally).
     pending_ns: Vec<u64>,
     done_reported: Vec<bool>,
@@ -315,8 +260,7 @@ impl WakeWheel {
 
 /// Shared state across worker threads.
 struct SharedSharded<R> {
-    nic: NicModel,
-    arrivals: ArrivalTable,
+    config: ParallelConfig,
     /// Wall-clock origin for barrier-wait timestamps.
     start: Instant,
     /// Shard (= worker) owning each global node index.
@@ -360,36 +304,19 @@ impl<R: Recorder> SharedSharded<R> {
         &self,
         ctx: &mut WorkerCtx,
         src: usize,
-        dst: Destination,
+        dst: SendTarget,
         bytes: u32,
         departure: SimTime,
         q_end: SimTime,
         meta: MessageMeta,
         frag_index: u32,
     ) {
-        let base = self.nic.earliest_arrival(departure);
-        match dst {
-            Destination::Unicast(d) => self.deliver(
-                ctx,
-                src,
-                d.index(),
-                bytes,
-                departure,
-                base,
-                q_end,
-                meta,
-                frag_index,
-            ),
-            Destination::Broadcast => {
-                // Per-destination transit is independent: each fan-out copy
-                // gets its own path and its own (src, dst)-keyed delay.
-                for t in 0..self.shard_of.len() {
-                    if t != src {
-                        self.deliver(ctx, src, t, bytes, departure, base, q_end, meta, frag_index);
-                    }
-                }
-            }
-        }
+        let base = self.config.nic.earliest_arrival(departure);
+        // Per-destination transit is independent: each broadcast copy gets
+        // its own path and its own (src, dst)-keyed delay.
+        for_each_target(dst, src, self.shard_of.len(), |t| {
+            self.deliver(ctx, src, t, bytes, departure, base, q_end, meta, frag_index);
+        });
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -407,10 +334,10 @@ impl<R: Recorder> SharedSharded<R> {
         frag_index: u32,
     ) {
         ctx.quantum_packets += 1;
-        let arrival =
-            base + SimDuration::from_nanos(self.arrivals.transit_nanos(src, t, bytes, departure));
+        let arrival = base
+            + SimDuration::from_nanos(self.config.arrivals.transit_nanos(src, t, bytes, departure));
         if R::ENABLED && !self.fabric_slots.is_empty() {
-            if let ArrivalTable::Fabric(f) = &self.arrivals {
+            if let ArrivalTable::Fabric(f) = &self.config.arrivals {
                 // Observation only (never feeds timing): bump this slice's
                 // counters along the packet's path. Relaxed is enough — the
                 // slot is written by this worker alone during the quantum
@@ -438,21 +365,6 @@ impl<R: Recorder> SharedSharded<R> {
             &mut ctx.pool,
         );
     }
-}
-
-/// Balanced contiguous partition of `n` nodes over `m` shards: the first
-/// `n % m` shards get one extra node.
-pub(crate) fn partition(n: usize, m: usize) -> Vec<std::ops::Range<usize>> {
-    let base = n / m;
-    let rem = n % m;
-    let mut ranges = Vec::with_capacity(m);
-    let mut start = 0;
-    for s in 0..m {
-        let len = base + usize::from(s < rem);
-        ranges.push(start..start + len);
-        start += len;
-    }
-    ranges
 }
 
 /// Contiguous partition of `weights.len()` nodes over `m` shards that
@@ -503,87 +415,6 @@ pub(crate) fn partition_weighted(weights: &[u64], m: usize) -> Vec<std::ops::Ran
     ranges
 }
 
-/// Initial state of one node simulator inside a shard: a fresh executor at
-/// sim time zero, or a restored executor at the snapshot's cut point.
-struct ShardNodeInit {
-    global: usize,
-    exec: NodeExecutor,
-    sim: SimTime,
-    msg_seq: u64,
-    pending: Option<SimDuration>,
-    done: bool,
-}
-
-/// Routes the snapshot's cut-in-flight fragments ahead of the first resumed
-/// quantum. The effective delivery time is `max(arrival, q_start)` — the
-/// *same* rule the uninterrupted run applied at route time, because every
-/// captured fragment departed during the quantum that ended at the cut, so
-/// the sender's `q_end` then equals the resumed run's `q_start` now. The
-/// straggler records this snapping produces are therefore bit-identical to
-/// the uninterrupted run's, for any policy.
-fn route_seed_frags(
-    seed: &ResumeSeed,
-    nic: &NicModel,
-    arrivals: &ArrivalTable,
-    shard_of: &[u32],
-    m: usize,
-) -> Result<(Vec<Vec<ShardInFlight>>, u64, StragglerStats), SimError> {
-    let n = shard_of.len();
-    let mut injected: Vec<Vec<ShardInFlight>> = (0..m).map(|_| Vec::new()).collect();
-    let mut count = 0u64;
-    let mut stragglers = StragglerStats::default();
-    for pf in &seed.frags {
-        let src = pf.src as usize;
-        if src >= n {
-            return Err(SimError::snapshot_format(format!(
-                "in-flight fragment from node {src}, but the cluster has {n} nodes"
-            )));
-        }
-        let base = nic.earliest_arrival(pf.frag.departure);
-        let deliver_to =
-            |t: usize, injected: &mut Vec<Vec<ShardInFlight>>, stragglers: &mut StragglerStats| {
-                let arrival = base
-                    + SimDuration::from_nanos(arrivals.transit_nanos(
-                        src,
-                        t,
-                        pf.frag.bytes,
-                        pf.frag.departure,
-                    ));
-                let eff = if arrival < seed.q_start {
-                    stragglers.record(seed.q_start - arrival);
-                    seed.q_start
-                } else {
-                    arrival
-                };
-                injected[shard_of[t] as usize].push(ShardInFlight {
-                    dst: t as u32,
-                    meta: pf.frag.meta,
-                    frag_index: pf.frag.frag_index,
-                    arrival: eff,
-                });
-            };
-        match pf.frag.dst {
-            Some(r) => {
-                let t = r as usize;
-                if t >= n {
-                    return Err(SimError::snapshot_format(format!(
-                        "in-flight fragment for node {t}, but the cluster has {n} nodes"
-                    )));
-                }
-                deliver_to(t, &mut injected, &mut stragglers);
-                count += 1;
-            }
-            None => {
-                for t in (0..n).filter(|&t| t != src) {
-                    deliver_to(t, &mut injected, &mut stragglers);
-                    count += 1;
-                }
-            }
-        }
-    }
-    Ok((injected, count, stragglers))
-}
-
 /// Sharded engine entry point with an explicit [`Recorder`]; the unified
 /// `Sim` builder dispatches here. `workers` of `None` uses the host's
 /// available parallelism; the count is clamped to `[1, n]`.
@@ -591,35 +422,27 @@ fn route_seed_frags(
 /// With `resume`, the run starts at the snapshot's cut instead of time
 /// zero; because delivery is quantum-edge-deterministic, the resumed run is
 /// bit-identical to the uninterrupted one for every worker count and any
-/// policy.
-///
-/// # Panics
-///
-/// Panics if fewer than two programs are given or program *i* is not for
-/// rank *i*. A quantum-cap overflow (deadlock guard) is a typed
+/// policy. A quantum-cap overflow (deadlock guard) is a typed
 /// [`SimError::QuantumCapExceeded`], not a panic.
 pub(crate) fn run_sharded_impl<R: Recorder>(
     programs: Vec<Program>,
-    config: &ParallelConfig,
+    config: ParallelConfig,
     workers: Option<usize>,
     recorder: R,
     resume: Option<&ResumeSeed>,
 ) -> Result<(ShardedRunResult, R), SimError> {
-    assert!(programs.len() >= 2, "a cluster needs at least 2 nodes");
-    for (i, p) in programs.iter().enumerate() {
-        assert_eq!(p.rank().index(), i, "program {i} is for {}", p.rank());
-    }
     let n = programs.len();
-    if let Some(s) = resume {
-        if s.nodes.len() != n {
-            return Err(SimError::snapshot_format(format!(
-                "snapshot has {} nodes, simulation has {n}",
-                s.nodes.len()
-            )));
-        }
-    }
-    let m = workers.unwrap_or_else(default_workers).clamp(1, n);
     let weights: Vec<u64> = programs.iter().map(|p| p.ops().len() as u64).collect();
+    let mut injected = Vec::new();
+    let init = prologue(programs, &config, workers, resume, |t, arrival, f| {
+        injected.push(ShardInFlight {
+            dst: t as u32,
+            meta: f.meta,
+            frag_index: f.frag_index,
+            arrival,
+        });
+    })?;
+    let m = init.m;
     let ranges = partition_weighted(&weights, m);
     let mut shard_of = vec![0u32; n];
     for (s, range) in ranges.iter().enumerate() {
@@ -627,61 +450,19 @@ pub(crate) fn run_sharded_impl<R: Recorder>(
             *slot = s as u32;
         }
     }
-    let mut policy = config.sync.build();
-    let q0 = policy.initial_quantum();
-    if let Some(s) = resume {
-        policy
-            .load_state(&s.policy_state)
-            .map_err(SimError::snapshot_format)?;
-    }
-    let q_start = resume.map_or(SimTime::ZERO, |s| s.q_start);
-    let q_end0 = resume.map_or(q0.as_nanos(), |s| (s.q_start + s.q_len).as_nanos());
-    let arrivals = ArrivalTable::build(&config.switch, n);
-    let (injected, inject_count, inject_stragglers) = match resume {
-        Some(s) => route_seed_frags(s, &config.nic, &arrivals, &shard_of, m)?,
-        None => (Vec::new(), 0, StragglerStats::default()),
-    };
-    let mut inits: Vec<Option<ShardNodeInit>> = Vec::with_capacity(n);
-    let mut n_done = 0u64;
-    for (i, program) in programs.into_iter().enumerate() {
-        inits.push(Some(match resume {
-            Some(s) => {
-                let ns = &s.nodes[i];
-                if ns.done {
-                    n_done += 1;
-                }
-                ShardNodeInit {
-                    global: i,
-                    exec: NodeExecutor::from_state(program, config.cpu, ns.exec.clone())
-                        .map_err(|e| SimError::snapshot_format(format!("node {i}: {e}")))?,
-                    sim: s.q_start,
-                    msg_seq: ns.msg_seq,
-                    pending: ns.pending,
-                    done: ns.done,
-                }
-            }
-            None => ShardNodeInit {
-                global: i,
-                exec: NodeExecutor::new(program, config.cpu),
-                sim: SimTime::ZERO,
-                msg_seq: 0,
-                pending: None,
-                done: false,
-            },
-        }));
-    }
     // Fabric link-load slices exist only when there is something to record
-    // them into; otherwise the whole path is a dead (compiled-out) branch.
-    let n_links = match &config.switch {
-        ParallelSwitch::Fabric(f) if R::ENABLED => f.n_links(),
+    // them into, and only for a bare fabric (chaos wraps it in another
+    // table); otherwise the whole path is a dead (compiled-out) branch.
+    let n_links = match &config.arrivals {
+        ArrivalTable::Fabric(f) if R::ENABLED => f.n_links(),
         _ => 0,
     };
     let leader = LeaderState {
-        policy,
-        quanta: resume.map_or(0, |s| s.quanta),
-        total_packets: resume.map_or(0, |s| s.total_packets) + inject_count,
-        q_start_nanos: q_start.as_nanos(),
-        q_end_nanos: q_end0,
+        policy: init.policy,
+        quanta: init.quanta,
+        total_packets: init.total_packets,
+        q_start_nanos: init.q_start.as_nanos(),
+        q_end_nanos: init.q_end0,
         max_quanta: config.max_quanta,
         rec: recorder,
         waits: Vec::with_capacity(n),
@@ -691,8 +472,7 @@ pub(crate) fn run_sharded_impl<R: Recorder>(
     };
     let start = Instant::now();
     let shared = SharedSharded {
-        nic: config.nic,
-        arrivals,
+        config,
         start,
         shard_of,
         mailboxes: (0..m).map(|_| Mailbox::new()).collect(),
@@ -716,69 +496,44 @@ pub(crate) fn run_sharded_impl<R: Recorder>(
         } else {
             Vec::new()
         },
-        q_end: AtomicU64::new(q_end0),
-        done: AtomicU64::new(n_done),
+        q_end: AtomicU64::new(init.q_end0),
+        done: AtomicU64::new(init.n_done),
         overflow: AtomicBool::new(false),
         barrier: TreeBarrier::new(m, leader),
     };
     let mut inject_pool = MailboxPool::new();
-    for (s, frags) in injected.into_iter().enumerate() {
-        for f in frags {
-            shared.mailboxes[s].push_pooled(f, &mut inject_pool);
-        }
+    for f in injected {
+        let s = shared.shard_of[f.dst as usize] as usize;
+        shared.mailboxes[s].push_pooled(f, &mut inject_pool);
     }
-    type WorkerOutput = (Vec<ParallelNodeResult>, StragglerStats, u64, u64);
-    let joined: Vec<WorkerOutput> = std::thread::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .iter()
-            .enumerate()
-            .map(|(w, range)| {
-                let shard: Vec<ShardNodeInit> = range
-                    .clone()
-                    .map(|i| inits[i].take().expect("each node init taken once"))
-                    .collect();
-                let shared = &shared;
-                scope.spawn(move || worker_thread(w, shard, config, shared))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker thread panicked"))
-            .collect()
-    });
-    if shared.overflow.load(Ordering::Acquire) {
-        return Err(SimError::QuantumCapExceeded {
-            engine: EngineKind::Sharded,
-            max_quanta: config.max_quanta,
-        });
-    }
-    let wall = start.elapsed();
-    // Shards are contiguous and joined in shard order, so flattening yields
-    // rank order; the straggler merge is deterministic for the same reason.
-    let mut stragglers = resume.map_or_else(StragglerStats::default, |s| s.stragglers);
-    stragglers.merge(&inject_stragglers);
-    let mut per_node = Vec::with_capacity(n);
+    let q_start = init.q_start;
+    let joined = run_shards(
+        &ranges,
+        init.nodes,
+        start,
+        &shared.overflow,
+        EngineKind::Sharded,
+        shared.config.max_quanta,
+        |w, base, shard| worker_thread(w, base, q_start, shard, &shared),
+    )?;
+    // Workers joined in shard order, so the straggler merge is
+    // deterministic.
+    let mut stragglers = init.stragglers;
     let mut pool_heap_allocs = 0;
     let mut nodes_executed = 0;
-    for (nodes, worker_stragglers, worker_allocs, worker_executed) in joined {
-        stragglers.merge(&worker_stragglers);
-        per_node.extend(nodes);
+    for (worker_stragglers, worker_allocs, worker_executed) in &joined.extras {
+        stragglers.merge(worker_stragglers);
         pool_heap_allocs += worker_allocs;
         nodes_executed += worker_executed;
     }
-    let sim_end = per_node
-        .iter()
-        .map(|r| r.finish_sim)
-        .max()
-        .expect("at least two nodes");
     let leader = shared.barrier.into_state();
     let result = ShardedRunResult {
-        wall,
-        sim_end,
+        wall: joined.wall,
+        sim_end: joined.sim_end,
         total_quanta: leader.quanta,
         total_packets: leader.total_packets,
         stragglers,
-        per_node,
+        per_node: joined.per_node,
         workers: m,
         pool_heap_allocs,
         nodes_executed,
@@ -786,25 +541,25 @@ pub(crate) fn run_sharded_impl<R: Recorder>(
     Ok((result, leader.rec))
 }
 
-/// Runs one shard to completion; returns its nodes' results (in rank
-/// order), the worker's run-total straggler tally, its packet pool's
+/// Runs shard `w` (global nodes from `base`, starting at quantum start
+/// `q_start`) to completion; returns its nodes' results (in rank order),
+/// the worker's run-total straggler tally, its packet pool's
 /// heap-allocation count, and the number of node executions it performed.
 ///
 /// The active-set scheduler (the default) executes only nodes with a
 /// scheduled wake inside the quantum; a quantum where the whole shard is
 /// parked touches no node memory at all and fast-forwards straight to the
-/// barrier. With [`ParallelConfig::full_sweep`] the worker executes every
+/// barrier. With `ParallelConfig::full_sweep` the worker executes every
 /// node every quantum — the legacy behavior, kept as the differential
 /// baseline the active set must match bit for bit.
 fn worker_thread<R: Recorder>(
     w: usize,
-    shard: Vec<ShardNodeInit>,
-    config: &ParallelConfig,
+    base: usize,
+    q_start: SimTime,
+    shard: Vec<NodeInit>,
     shared: &SharedSharded<R>,
-) -> (Vec<ParallelNodeResult>, StragglerStats, u64, u64) {
-    let base = shard.first().map(|init| init.global).unwrap_or(0);
+) -> (Vec<ParallelNodeResult>, (StragglerStats, u64, u64)) {
     let len = shard.len();
-    let q_start0 = shard.first().map(|init| init.sim).unwrap_or(SimTime::ZERO);
     let mut nodes = ShardNodes {
         base,
         execs: Vec::with_capacity(len),
@@ -817,9 +572,7 @@ fn worker_thread<R: Recorder>(
         nodes.execs.push(init.exec);
         nodes.sim.push(init.sim);
         nodes.msg_seq.push(init.msg_seq);
-        nodes
-            .pending_ns
-            .push(init.pending.map_or(0, |d| d.as_nanos()));
+        nodes.pending_ns.push(init.pending_ns);
         nodes.done_reported.push(init.done);
     }
     let mut ctx = WorkerCtx {
@@ -832,7 +585,7 @@ fn worker_thread<R: Recorder>(
             Arc::clone(&shared.depot),
         ),
     };
-    let full_sweep = config.full_sweep;
+    let full_sweep = shared.config.full_sweep;
     // Every node starts armed (a fresh run must poll everyone at least
     // once; a resumed run re-polls everyone on the first quantum, exactly
     // as the pre-active-set engine did). The wake wheel takes over from
@@ -844,7 +597,7 @@ fn worker_thread<R: Recorder>(
     let mut nodes_executed = 0u64;
     // Reusable scratch: capacity persists across quanta.
     let mut inbox: Vec<ShardInFlight> = Vec::new();
-    let mut q_start = q_start0;
+    let mut q_start = q_start;
     let mut q_end = SimTime::from_nanos(shared.q_end.load(Ordering::Acquire));
     loop {
         let q_end_ns = q_end.as_nanos();
@@ -887,8 +640,7 @@ fn worker_thread<R: Recorder>(
         let mut active = 0u64;
         if full_sweep {
             for l in 0..len {
-                let (lag_ns, _wake) =
-                    advance_node(&mut nodes, l, shared, config, &mut ctx, q_start, q_end);
+                let (lag_ns, _wake) = advance_node(&mut nodes, l, shared, &mut ctx, q_start, q_end);
                 if R::ENABLED {
                     shared.lag_slots[base + l].store(lag_ns, Ordering::Relaxed);
                 }
@@ -915,7 +667,7 @@ fn worker_thread<R: Recorder>(
                     let l = (wi << 6) + word.trailing_zeros() as usize;
                     word &= word - 1;
                     let (lag_ns, wake) =
-                        advance_node(&mut nodes, l, shared, config, &mut ctx, q_start, q_end);
+                        advance_node(&mut nodes, l, shared, &mut ctx, q_start, q_end);
                     if wake != u64::MAX {
                         wheel.heap.push(Reverse((wake, l as u32)));
                     }
@@ -935,131 +687,55 @@ fn worker_thread<R: Recorder>(
             None => break,
         }
     }
+    // A parked node's `sim` lane may lag the last quantum edge
+    // (fast-forwarding is lazy); the full sweep would have dragged it to
+    // the edge every quantum.
     let results = (0..len)
-        .map(|l| ParallelNodeResult {
-            rank: nodes.execs[l].rank(),
-            finish_sim: nodes.execs[l].finish_time().unwrap_or_else(|| {
-                // A parked node's `sim` lane may lag the last quantum edge
-                // (fast-forwarding is lazy); the full sweep would have
-                // dragged it to the edge every quantum.
-                nodes.sim[l].max(q_end)
-            }),
-            ops: nodes.execs[l].ops_executed(),
-            messages_received: nodes.execs[l].messages_received(),
-            regions: nodes.execs[l].regions().to_vec(),
-        })
+        .map(|l| ParallelNodeResult::of(&nodes.execs[l], nodes.sim[l].max(q_end)))
         .collect();
     (
         results,
-        ctx.run_stragglers,
-        ctx.pool.heap_allocs(),
-        nodes_executed,
+        (ctx.run_stragglers, ctx.pool.heap_allocs(), nodes_executed),
     )
 }
 
-/// Advances one node to the quantum edge. There are no mid-quantum drains:
-/// deliveries are never consumable before the boundary by construction.
+/// Advances one node to the quantum edge (see [`advance_to_edge`]),
+/// routing its sends in place. There are no mid-quantum drains: deliveries
+/// are never consumable before the boundary by construction.
 ///
-/// Returns `(lag_ns, wake_ns)`: the node's idle-tail lag for observability
-/// (0 when busy to the edge) and its next wake time — `q_end` when the node
-/// must run again next quantum (mid-op remainder, or more program to poll),
-/// the wait deadline for a timed sleeper, or `u64::MAX` to park it until a
-/// delivery re-arms it (blocked or finished).
+/// Returns `(lag_ns, wake_ns)` as [`advance_to_edge`] does; a `wake_ns` of
+/// `u64::MAX` parks the node until a delivery re-arms it.
 fn advance_node<R: Recorder>(
     nodes: &mut ShardNodes,
     l: usize,
     shared: &SharedSharded<R>,
-    config: &ParallelConfig,
     ctx: &mut WorkerCtx,
     q_start: SimTime,
     q_end: SimTime,
 ) -> (u64, u64) {
     // Fast-forward a woken sleeper: the full sweep dragged `sim` to every
-    // intervening quantum edge (`sim = max(sim, q_end)` below); skipping
-    // those quanta and taking one `max` against the current quantum start
-    // lands in the identical state, because a parked node's re-polls are
-    // side-effect-free.
+    // intervening quantum edge; skipping those quanta and taking one `max`
+    // against the current quantum start lands in the identical state,
+    // because a parked node's re-polls are side-effect-free.
     if nodes.sim[l] < q_start {
         nodes.sim[l] = q_start;
     }
-    let mut lag_ns = 0u64;
-    let mut wake = q_end.as_nanos();
-    while nodes.sim[l] < q_end {
-        if nodes.pending_ns[l] != 0 {
-            let remaining = SimDuration::from_nanos(nodes.pending_ns[l]);
-            let step = remaining.min(q_end - nodes.sim[l]);
-            nodes.sim[l] += step;
-            if step < remaining {
-                nodes.pending_ns[l] = (remaining - step).as_nanos();
-                break; // quantum boundary reached mid-op
-            }
-            nodes.pending_ns[l] = 0;
-            continue;
-        }
-        match nodes.execs[l].next_action(nodes.sim[l]) {
-            Action::Advance { dur, ops, idle } => {
-                if !idle && config.host_work_per_op > 0.0 && ops > 0 {
-                    busy_work(ops as f64 * config.host_work_per_op);
-                }
-                nodes.pending_ns[l] = dur.as_nanos();
-            }
-            Action::Send { dst, bytes, tag } => {
-                let dest = match dst {
-                    SendTarget::Rank(r) => Destination::Unicast(NodeId::new(r.as_u32())),
-                    SendTarget::All => Destination::Broadcast,
-                };
-                let frag_count = shared.nic.fragment_count(bytes);
-                let meta = MessageMeta {
-                    id: MessageId {
-                        src: nodes.execs[l].rank(),
-                        seq: nodes.msg_seq[l],
-                    },
-                    tag,
-                    bytes,
-                    frag_count,
-                };
-                nodes.msg_seq[l] += 1;
-                for k in 0..frag_count {
-                    let sz = shared.nic.fragment_size(bytes, k);
-                    nodes.sim[l] += shared.nic.serialization_delay(sz);
-                    shared.route(ctx, nodes.base + l, dest, sz, nodes.sim[l], q_end, meta, k);
-                }
-            }
-            Action::WaitUntil(t) => {
-                if t >= q_end {
-                    if R::ENABLED {
-                        lag_ns = (q_end - nodes.sim[l]).as_nanos();
-                    }
-                    wake = t.as_nanos();
-                    nodes.sim[l] = q_end;
-                    break;
-                }
-                nodes.sim[l] = t;
-            }
-            Action::Blocked => {
-                if R::ENABLED {
-                    lag_ns = (q_end - nodes.sim[l]).as_nanos();
-                }
-                wake = u64::MAX;
-                nodes.sim[l] = q_end;
-                break;
-            }
-            Action::Finished => {
-                if !nodes.done_reported[l] {
-                    nodes.done_reported[l] = true;
-                    shared.done.fetch_add(1, Ordering::AcqRel);
-                }
-                if R::ENABLED {
-                    lag_ns = (q_end - nodes.sim[l]).as_nanos();
-                }
-                wake = u64::MAX;
-                nodes.sim[l] = q_end;
-                break;
-            }
-        }
+    let src = nodes.base + l;
+    let exec = &mut nodes.execs[l];
+    let woke = advance_to_edge(
+        exec,
+        &mut nodes.sim[l],
+        &mut nodes.pending_ns[l],
+        &mut nodes.msg_seq[l],
+        q_end,
+        &shared.config,
+        |dst, departure, meta, k, sz| shared.route(ctx, src, dst, sz, departure, q_end, meta, k),
+    );
+    if !nodes.done_reported[l] && exec.finished() {
+        nodes.done_reported[l] = true;
+        shared.done.fetch_add(1, Ordering::AcqRel);
     }
-    nodes.sim[l] = nodes.sim[l].max(q_end);
-    (lag_ns, wake)
+    woke
 }
 
 /// Meets the tree barrier; the root leader advances the policy and publishes
@@ -1217,26 +893,36 @@ fn leader_step<R: Recorder>(
 mod tests {
     use super::*;
     use crate::config::ClusterConfig;
-    use crate::sim::Sim;
+    use crate::sim::{EngineDetail, Sim, SimSwitch};
     use aqs_core::SyncConfig;
-    use aqs_net::LatencyMatrixSwitch;
+    use aqs_net::{FabricConfig, FatTreeFabric};
     use aqs_node::{ProgramBuilder, Rank, Tag};
-    use aqs_obs::NullRecorder;
+    use aqs_obs::{FlightRecorder, ObsConfig};
     use aqs_workloads::{burst, ping_pong};
 
-    fn cfg(sync: SyncConfig) -> ParallelConfig {
-        ParallelConfig::new(sync).with_max_quanta(20_000_000)
+    /// A sharded-engine builder on `workers` shards.
+    fn sim(programs: Vec<Program>, sync: SyncConfig, workers: usize) -> Sim {
+        Sim::new(programs)
+            .engine(EngineKind::Sharded)
+            .sync(sync)
+            .shards(workers)
+            .max_quanta(20_000_000)
     }
 
-    /// Unrecorded engine run with an owned result.
-    fn run_sharded(
-        programs: Vec<Program>,
-        config: &ParallelConfig,
-        workers: Option<usize>,
-    ) -> ShardedRunResult {
-        match run_sharded_impl(programs, config, workers, NullRecorder, None) {
-            Ok((r, _)) => r,
-            Err(e) => panic!("{e}"),
+    /// Runs `sim` and returns the sharded engine's own result.
+    fn run_sharded(sim: Sim) -> ShardedRunResult {
+        match sim.run().detail {
+            EngineDetail::Sharded(r) => *r,
+            other => panic!("not a sharded run: {other:?}"),
+        }
+    }
+
+    /// Runs `sim` with a flight recorder attached.
+    fn run_recorded(sim: Sim) -> (ShardedRunResult, FlightRecorder) {
+        let report = sim.record(ObsConfig::new()).run();
+        match (report.detail, report.obs) {
+            (EngineDetail::Sharded(r), Some(fr)) => (*r, fr),
+            (other, _) => panic!("not a recorded sharded run: {other:?}"),
         }
     }
 
@@ -1308,13 +994,9 @@ mod tests {
             (burst(5, 50_000, 1024).programs, SyncConfig::paper_dyn2()),
         ];
         for (programs, sync) in cases {
-            let full = run_sharded(
-                programs.clone(),
-                &cfg(sync.clone()).with_full_sweep(true),
-                Some(2),
-            );
+            let full = run_sharded(sim(programs.clone(), sync.clone(), 2).force_full_sweep(true));
             for m in 1..=4 {
-                let r = run_sharded(programs.clone(), &cfg(sync.clone()), Some(m));
+                let r = run_sharded(sim(programs.clone(), sync.clone(), m));
                 assert_eq!(r.sim_end, full.sim_end, "workers={m}");
                 assert_eq!(r.total_quanta, full.total_quanta, "workers={m}");
                 assert_eq!(r.total_packets, full.total_packets, "workers={m}");
@@ -1343,13 +1025,11 @@ mod tests {
     fn active_set_skips_sleepers_and_counts_are_m_independent() {
         let programs = mostly_idle(32);
         let full = run_sharded(
-            programs.clone(),
-            &cfg(SyncConfig::ground_truth()).with_full_sweep(true),
-            Some(2),
+            sim(programs.clone(), SyncConfig::ground_truth(), 2).force_full_sweep(true),
         );
         // The full sweep executes every node every quantum, by definition.
         assert_eq!(full.nodes_executed, 32 * full.total_quanta);
-        let reference = run_sharded(programs.clone(), &cfg(SyncConfig::ground_truth()), Some(1));
+        let reference = run_sharded(sim(programs.clone(), SyncConfig::ground_truth(), 1));
         assert!(
             reference.nodes_executed < full.nodes_executed / 4,
             "31 sleepers must be skipped almost every quantum: {} vs {}",
@@ -1359,23 +1039,14 @@ mod tests {
         // The work metric is part of the deterministic outcome: same count
         // for every M.
         for m in 2..=4 {
-            let r = run_sharded(programs.clone(), &cfg(SyncConfig::ground_truth()), Some(m));
+            let r = run_sharded(sim(programs.clone(), SyncConfig::ground_truth(), m));
             assert_eq!(r.nodes_executed, reference.nodes_executed, "workers={m}");
         }
     }
 
     #[test]
     fn active_set_run_records_activity_per_quantum_and_per_shard() {
-        use aqs_obs::{FlightRecorder, ObsConfig};
-        let programs = mostly_idle(8);
-        let (r, fr) = run_sharded_impl(
-            programs,
-            &cfg(SyncConfig::ground_truth()),
-            Some(2),
-            FlightRecorder::new(8, ObsConfig::new()),
-            None,
-        )
-        .expect("run succeeds");
+        let (r, fr) = run_recorded(sim(mostly_idle(8), SyncConfig::ground_truth(), 2));
         assert_eq!(fr.total_active_nodes(), r.nodes_executed);
         let lanes = fr.shard_activity().expect("sharded run records activity");
         assert_eq!(lanes.len(), 2);
@@ -1385,7 +1056,7 @@ mod tests {
     #[test]
     fn ping_pong_completes() {
         let spec = ping_pong(2, 5, 64);
-        let r = run_sharded(spec.programs, &cfg(SyncConfig::ground_truth()), Some(2));
+        let r = run_sharded(sim(spec.programs, SyncConfig::ground_truth(), 2));
         assert_eq!(r.messages_received_total(), 10);
         assert_eq!(r.stragglers.count(), 0, "safe quantum must be race-free");
         assert_eq!(r.total_packets, 10);
@@ -1400,7 +1071,7 @@ mod tests {
         // allocation beyond the short run's warm-up.
         let run = |rounds| {
             let spec = ping_pong(2, rounds, 64);
-            run_sharded(spec.programs, &cfg(SyncConfig::ground_truth()), Some(2))
+            run_sharded(sim(spec.programs, SyncConfig::ground_truth(), 2))
         };
         let short = run(10);
         let long = run(200);
@@ -1417,11 +1088,7 @@ mod tests {
             .run();
         let det = report.detail.as_deterministic().expect("det engine");
         for m in 1..=5 {
-            let r = run_sharded(
-                spec.programs.clone(),
-                &cfg(SyncConfig::ground_truth()),
-                Some(m),
-            );
+            let r = run_sharded(sim(spec.programs.clone(), SyncConfig::ground_truth(), m));
             assert_eq!(r.sim_end, det.sim_end, "workers={m}");
             assert_eq!(r.total_packets, det.total_packets, "workers={m}");
             assert_eq!(r.stragglers.count(), 0, "workers={m}");
@@ -1438,18 +1105,18 @@ mod tests {
         // The boundary-delivery rule makes the engine deterministic even when
         // quanta are far above the safe bound: any M, same outcome.
         let spec = ping_pong(4, 25, 4096);
-        let reference = run_sharded(
+        let reference = run_sharded(sim(
             spec.programs.clone(),
-            &cfg(SyncConfig::fixed_micros(1000)),
-            Some(1),
-        );
+            SyncConfig::fixed_micros(1000),
+            1,
+        ));
         assert!(reference.stragglers.count() > 0, "workload must straggle");
         for m in 2..=4 {
-            let r = run_sharded(
+            let r = run_sharded(sim(
                 spec.programs.clone(),
-                &cfg(SyncConfig::fixed_micros(1000)),
-                Some(m),
-            );
+                SyncConfig::fixed_micros(1000),
+                m,
+            ));
             assert_eq!(r.sim_end, reference.sim_end, "workers={m}");
             assert_eq!(r.total_quanta, reference.total_quanta, "workers={m}");
             assert_eq!(r.total_packets, reference.total_packets, "workers={m}");
@@ -1482,8 +1149,8 @@ mod tests {
             b.compute(2_000_000).build()
         };
         let programs = vec![mk(0), mk(1)];
-        let truth = run_sharded(programs.clone(), &cfg(SyncConfig::ground_truth()), Some(2));
-        let dynr = run_sharded(programs, &cfg(SyncConfig::paper_dyn1()), Some(2));
+        let truth = run_sharded(sim(programs.clone(), SyncConfig::ground_truth(), 2));
+        let dynr = run_sharded(sim(programs, SyncConfig::paper_dyn1(), 2));
         assert!(
             dynr.total_quanta < truth.total_quanta / 5,
             "adaptive should need far fewer quanta: {} vs {}",
@@ -1495,9 +1162,9 @@ mod tests {
     #[test]
     fn busy_work_slows_wall_clock() {
         let spec = burst(2, 2_000_000, 512);
-        let fixed = || cfg(SyncConfig::fixed_micros(1000));
-        let fast = run_sharded(spec.programs.clone(), &fixed(), Some(2));
-        let slow = run_sharded(spec.programs, &fixed().with_host_work_per_op(50.0), Some(2));
+        let fixed = |programs| sim(programs, SyncConfig::fixed_micros(1000), 2);
+        let fast = run_sharded(fixed(spec.programs.clone()));
+        let slow = run_sharded(fixed(spec.programs).host_work_per_op(50.0));
         assert!(
             slow.wall > fast.wall,
             "busy work should cost wall time: {:?} vs {:?}",
@@ -1507,34 +1174,7 @@ mod tests {
     }
 
     #[test]
-    fn latency_matrix_switch_matches_deterministic_engine() {
-        use crate::sim::SimSwitch;
-        let spec = ping_pong(2, 20, 4096);
-        let matrix = LatencyMatrixSwitch::uniform(2, SimDuration::from_micros(3));
-        let det = Sim::new(spec.programs.clone())
-            .config(ClusterConfig::new(SyncConfig::ground_truth()).with_seed(7))
-            .switch(SimSwitch::LatencyMatrix(matrix.clone()))
-            .run();
-        let r = run_sharded(
-            spec.programs,
-            &cfg(SyncConfig::ground_truth()).with_switch(ParallelSwitch::LatencyMatrix(matrix)),
-            Some(2),
-        );
-        assert_eq!(r.sim_end, det.sim_end);
-        assert_eq!(r.total_packets, det.total_packets);
-        assert_eq!(r.stragglers.count(), 0);
-    }
-
-    #[test]
-    fn worker_count_is_clamped_to_node_count() {
-        let spec = ping_pong(2, 2, 64);
-        let r = run_sharded(spec.programs, &cfg(SyncConfig::ground_truth()), Some(64));
-        assert_eq!(r.workers, 2);
-    }
-
-    #[test]
     fn builder_clamps_oversized_shard_counts_and_rejects_zero() {
-        use crate::sim::{EngineKind, SimError};
         let spec = ping_pong(2, 2, 64);
         // m > n clamps to n instead of spawning idle workers.
         let report = Sim::new(spec.programs.clone())
@@ -1555,30 +1195,23 @@ mod tests {
         assert!(err.to_string().contains("at least one worker"));
     }
 
-    /// A small two-rack fabric: 6 nodes, 2 per rack, 2 uplink planes.
-    fn small_fabric(n: usize) -> FatTreeFabric {
-        let cfg = aqs_net::FabricConfig::fat_tree()
+    /// A small fabric: 2 nodes per rack, 2 uplink planes.
+    fn small_fabric() -> FabricConfig {
+        FabricConfig::fat_tree()
             .with_rack_size(2)
-            .with_uplinks_per_rack(2);
-        FatTreeFabric::new(cfg, n)
+            .with_uplinks_per_rack(2)
     }
 
     #[test]
     fn fabric_switch_matches_deterministic_engine() {
-        use crate::sim::SimSwitch;
         let spec = ping_pong(6, 12, 4096);
         let det = Sim::new(spec.programs.clone())
             .config(ClusterConfig::new(SyncConfig::ground_truth()).with_seed(11))
-            .switch(SimSwitch::Fabric(
-                aqs_net::FabricConfig::fat_tree()
-                    .with_rack_size(2)
-                    .with_uplinks_per_rack(2),
-            ))
+            .switch(SimSwitch::Fabric(small_fabric()))
             .run();
         let r = run_sharded(
-            spec.programs,
-            &cfg(SyncConfig::ground_truth()).with_switch(ParallelSwitch::Fabric(small_fabric(6))),
-            Some(3),
+            sim(spec.programs, SyncConfig::ground_truth(), 3)
+                .switch(SimSwitch::Fabric(small_fabric())),
         );
         assert_eq!(r.sim_end, det.sim_end);
         assert_eq!(r.total_packets, det.total_packets);
@@ -1590,13 +1223,14 @@ mod tests {
         // The stateful-looking fabric is epoch-keyed pure, so even under
         // unsafe quanta (stragglers present) the outcome is M-independent.
         let spec = ping_pong(6, 25, 4096);
-        let mk = || {
-            cfg(SyncConfig::fixed_micros(1000)).with_switch(ParallelSwitch::Fabric(small_fabric(6)))
+        let mk = |m| {
+            sim(spec.programs.clone(), SyncConfig::fixed_micros(1000), m)
+                .switch(SimSwitch::Fabric(small_fabric()))
         };
-        let reference = run_sharded(spec.programs.clone(), &mk(), Some(1));
+        let reference = run_sharded(mk(1));
         assert!(reference.stragglers.count() > 0, "workload must straggle");
         for m in 2..=6 {
-            let r = run_sharded(spec.programs.clone(), &mk(), Some(m));
+            let r = run_sharded(mk(m));
             assert_eq!(r.sim_end, reference.sim_end, "workers={m}");
             assert_eq!(r.total_quanta, reference.total_quanta, "workers={m}");
             assert_eq!(r.total_packets, reference.total_packets, "workers={m}");
@@ -1613,23 +1247,14 @@ mod tests {
 
     #[test]
     fn fabric_link_load_is_recorded_and_m_independent() {
-        use aqs_obs::{FlightRecorder, ObsConfig};
-        let fabric = small_fabric(6);
-        let n_links = fabric.n_links();
+        let n_links = FatTreeFabric::new(small_fabric(), 6).n_links();
         let spec = burst(6, 50_000, 4096);
-        let run = |m| {
-            run_sharded_impl(
-                spec.programs.clone(),
-                &cfg(SyncConfig::ground_truth())
-                    .with_switch(ParallelSwitch::Fabric(fabric.clone())),
-                Some(m),
-                FlightRecorder::new(6, ObsConfig::new()),
-                None,
-            )
-            .expect("run succeeds")
+        let mk = |m| {
+            sim(spec.programs.clone(), SyncConfig::ground_truth(), m)
+                .switch(SimSwitch::Fabric(small_fabric()))
         };
-        let (r1, fr1) = run(1);
-        let (r3, fr3) = run(3);
+        let (r1, fr1) = run_recorded(mk(1));
+        let (r3, fr3) = run_recorded(mk(3));
         assert_eq!(r1.sim_end, r3.sim_end);
         let l1 = fr1.link_load().expect("fabric run records link load");
         let l3 = fr3.link_load().expect("fabric run records link load");
@@ -1640,31 +1265,19 @@ mod tests {
         let (hot, hot_bytes) = l1.hottest().expect("some link is hottest");
         assert!(hot < n_links && hot_bytes > 0);
         // An unrecorded fabric run must not regress the pooled packet path.
-        let null = run_sharded(
-            spec.programs.clone(),
-            &cfg(SyncConfig::ground_truth()).with_switch(ParallelSwitch::Fabric(fabric.clone())),
-            Some(3),
-        );
+        let null = run_sharded(mk(3));
         assert_eq!(null.sim_end, r3.sim_end);
         assert_eq!(null.total_packets, r3.total_packets);
     }
 
     #[test]
     fn flight_recorder_matches_run_totals_and_null_run() {
-        use aqs_obs::{FlightRecorder, ObsConfig};
         let spec = burst(4, 50_000, 1024);
-        let (r, fr) = run_sharded_impl(
-            spec.programs.clone(),
-            &cfg(SyncConfig::ground_truth()),
-            Some(2),
-            FlightRecorder::new(4, ObsConfig::new()),
-            None,
-        )
-        .expect("run succeeds");
+        let (r, fr) = run_recorded(sim(spec.programs.clone(), SyncConfig::ground_truth(), 2));
         assert_eq!(fr.total_packets(), r.total_packets);
         assert_eq!(fr.total_quanta(), r.total_quanta);
         assert_eq!(fr.total_stragglers(), r.stragglers.count());
-        let null = run_sharded(spec.programs, &cfg(SyncConfig::ground_truth()), Some(2));
+        let null = run_sharded(sim(spec.programs, SyncConfig::ground_truth(), 2));
         assert_eq!(null.sim_end, r.sim_end);
         assert_eq!(null.total_quanta, r.total_quanta);
         assert_eq!(null.total_packets, r.total_packets);
@@ -1677,10 +1290,6 @@ mod tests {
             .recv(Some(Rank::new(1)), Tag::new(0))
             .build();
         let p1 = ProgramBuilder::new(Rank::new(1)).compute(10).build();
-        let _ = run_sharded(
-            vec![p0, p1],
-            &ParallelConfig::new(SyncConfig::fixed_micros(1000)).with_max_quanta(500),
-            Some(1),
-        );
+        let _ = run_sharded(sim(vec![p0, p1], SyncConfig::fixed_micros(1000), 1).max_quanta(500));
     }
 }

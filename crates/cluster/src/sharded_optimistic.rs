@@ -57,13 +57,15 @@
 //! is bit-identical to the deterministic engine for every worker count and
 //! for both the pure and hybrid engines.
 
-use crate::parallel::{busy_work, ParallelConfig, ParallelNodeResult};
-use crate::sharded::{default_workers, partition, ArrivalTable};
+use crate::parallel::{
+    advance_to_edge, for_each_target, partition, prologue, run_shards, NodeInit, ParallelConfig,
+    ParallelNodeResult,
+};
 use crate::sim::{EngineKind, SimError};
 use crate::snapshot::ResumeSeed;
 use aqs_core::QuantumPolicy;
 use aqs_net::StragglerStats;
-use aqs_node::{Action, MessageId, MessageMeta, NodeExecutor, Program, SendTarget};
+use aqs_node::{MessageMeta, NodeExecutor, Program, SendTarget};
 use aqs_obs::{QuantumObs, Recorder};
 use aqs_sync::{GvtReduction, TreeBarrier};
 use aqs_time::{SimDuration, SimTime};
@@ -202,7 +204,7 @@ impl ShardedOptimisticRunResult {
 
 /// A fragment captured at send time, before routing. `departure` already
 /// includes the per-fragment serialization delay; routing it through the
-/// [`ArrivalTable`] is a pure function, so the leader can re-route the full
+/// `ArrivalTable` is a pure function, so the leader can re-route the full
 /// send set every round with bit-identical results.
 #[derive(Clone, Debug)]
 struct WindowSend {
@@ -218,8 +220,8 @@ struct WindowSend {
 struct OptNodeState {
     exec: NodeExecutor,
     sim: SimTime,
-    /// Remainder of an op that did not fit in the previous window.
-    pending: Option<SimDuration>,
+    /// Remainder (ns) of an op that did not fit in the previous window.
+    pending_ns: u64,
     msg_seq: u64,
 }
 
@@ -243,8 +245,7 @@ struct ShardCell {
 
 /// Shared state across worker threads.
 struct SharedOpt<R> {
-    nic: aqs_net::NicModel,
-    arrivals: ArrivalTable,
+    config: ParallelConfig,
     opts: ShardedOptimisticOpts,
     ranges: Vec<Range<usize>>,
     cells: Vec<Mutex<ShardCell>>,
@@ -349,72 +350,6 @@ fn divergence_nanos(a: &[Inbound], b: &[Inbound]) -> u64 {
     }
 }
 
-/// Routes the snapshot's cut-in-flight fragments into per-node [`Inbound`]
-/// sets ahead of the first resumed window. Arrivals before the cut are
-/// snapped to it (the conservative straggler rule, recorded); the caller
-/// partitions the sets by the first window edge exactly like
-/// `commit_window`'s open-next-window path.
-fn route_seed_frags(
-    seed: &ResumeSeed,
-    nic: &aqs_net::NicModel,
-    arrivals: &ArrivalTable,
-    n: usize,
-) -> Result<(Vec<Vec<Inbound>>, u64, StragglerStats), SimError> {
-    let mut injected: Vec<Vec<Inbound>> = vec![Vec::new(); n];
-    let mut count = 0u64;
-    let mut stragglers = StragglerStats::default();
-    for pf in &seed.frags {
-        let src = pf.src as usize;
-        if src >= n {
-            return Err(SimError::snapshot_format(format!(
-                "in-flight fragment from node {src}, but the cluster has {n} nodes"
-            )));
-        }
-        let base = nic.earliest_arrival(pf.frag.departure);
-        let deliver_to =
-            |t: usize, injected: &mut Vec<Vec<Inbound>>, stragglers: &mut StragglerStats| {
-                let arrival = base
-                    + SimDuration::from_nanos(arrivals.transit_nanos(
-                        src,
-                        t,
-                        pf.frag.bytes,
-                        pf.frag.departure,
-                    ));
-                let eff = if arrival < seed.q_start {
-                    stragglers.record(seed.q_start - arrival);
-                    seed.q_start
-                } else {
-                    arrival
-                };
-                injected[t].push(Inbound {
-                    arrival: eff,
-                    meta_id: pf.frag.meta.id,
-                    frag_index: pf.frag.frag_index,
-                    meta: pf.frag.meta.into(),
-                });
-            };
-        match pf.frag.dst {
-            Some(r) => {
-                let t = r as usize;
-                if t >= n {
-                    return Err(SimError::snapshot_format(format!(
-                        "in-flight fragment for node {t}, but the cluster has {n} nodes"
-                    )));
-                }
-                deliver_to(t, &mut injected, &mut stragglers);
-                count += 1;
-            }
-            None => {
-                for t in (0..n).filter(|&t| t != src) {
-                    deliver_to(t, &mut injected, &mut stragglers);
-                    count += 1;
-                }
-            }
-        }
-    }
-    Ok((injected, count, stragglers))
-}
-
 /// Sharded-optimistic engine entry point with an explicit [`Recorder`];
 /// the unified `Sim` builder dispatches here. `workers` of `None` uses the
 /// host's available parallelism; the count is clamped to `[1, n]`.
@@ -423,45 +358,29 @@ fn route_seed_frags(
 /// zero: restored node states seed the first checkpoint, the cut's
 /// in-flight fragments become the first window's base inbound sets (or
 /// carried fragments, if they land past its edge), and the run counters
-/// continue from their captured values.
-///
-/// # Panics
-///
-/// Panics if fewer than two programs are given or program *i* is not for
-/// rank *i*. A window-cap overflow (deadlock guard) is a typed
-/// [`SimError::QuantumCapExceeded`], not a panic.
+/// continue from their captured values. A window-cap overflow (deadlock
+/// guard) is a typed [`SimError::QuantumCapExceeded`], not a panic.
 pub(crate) fn run_sharded_optimistic_impl<R: Recorder>(
     programs: Vec<Program>,
-    config: &ParallelConfig,
+    config: ParallelConfig,
     workers: Option<usize>,
     opts: ShardedOptimisticOpts,
     recorder: R,
     resume: Option<&ResumeSeed>,
 ) -> Result<(ShardedOptimisticRunResult, R), SimError> {
-    assert!(programs.len() >= 2, "a cluster needs at least 2 nodes");
-    for (i, p) in programs.iter().enumerate() {
-        assert_eq!(p.rank().index(), i, "program {i} is for {}", p.rank());
-    }
     let n = programs.len();
-    if let Some(s) = resume {
-        if s.nodes.len() != n {
-            return Err(SimError::snapshot_format(format!(
-                "snapshot has {} nodes, simulation has {n}",
-                s.nodes.len()
-            )));
-        }
-    }
-    let m = workers.unwrap_or_else(default_workers).clamp(1, n);
+    let mut injected: Vec<Vec<Inbound>> = vec![Vec::new(); n];
+    let init = prologue(programs, &config, workers, resume, |t, arrival, f| {
+        injected[t].push(Inbound {
+            arrival,
+            meta_id: f.meta.id,
+            frag_index: f.frag_index,
+            meta: f.meta.into(),
+        });
+    })?;
+    let m = init.m;
     let ranges = partition(n, m);
-    let mut policy = config.sync.build();
-    let q0 = policy.initial_quantum();
-    if let Some(s) = resume {
-        policy
-            .load_state(&s.policy_state)
-            .map_err(SimError::snapshot_format)?;
-    }
-    let q_start_nanos = resume.map_or(0, |s| s.q_start.as_nanos());
-    let q_end0 = resume.map_or(q0.as_nanos(), |s| (s.q_start + s.q_len).as_nanos());
+    let q_end0 = init.q_end0;
     let hybrid = opts.hybrid.is_some();
     let engine_kind = if hybrid {
         EngineKind::Hybrid
@@ -469,40 +388,12 @@ pub(crate) fn run_sharded_optimistic_impl<R: Recorder>(
         EngineKind::ShardedOptimistic
     };
     let cascade_bound = opts.cascade_bound;
-    let arrivals = ArrivalTable::build(&config.switch, n);
-    let (injected, inject_count, inject_stragglers) = match resume {
-        Some(s) => route_seed_frags(s, &config.nic, &arrivals, n)?,
-        None => (vec![Vec::new(); n], 0, StragglerStats::default()),
-    };
-    let mut states_init: Vec<Option<OptNodeState>> = Vec::with_capacity(n);
-    for (i, program) in programs.into_iter().enumerate() {
-        states_init.push(Some(match resume {
-            Some(s) => {
-                let ns = &s.nodes[i];
-                OptNodeState {
-                    exec: NodeExecutor::from_state(program, config.cpu, ns.exec.clone())
-                        .map_err(|e| SimError::snapshot_format(format!("node {i}: {e}")))?,
-                    sim: s.q_start,
-                    pending: ns.pending,
-                    msg_seq: ns.msg_seq,
-                }
-            }
-            None => OptNodeState {
-                exec: NodeExecutor::new(program, config.cpu),
-                sim: SimTime::ZERO,
-                pending: None,
-                msg_seq: 0,
-            },
-        }));
-    }
-    let mut run_stragglers = resume.map_or_else(StragglerStats::default, |s| s.stragglers);
-    run_stragglers.merge(&inject_stragglers);
     let mut leader = OptLeader {
-        policy,
+        policy: init.policy,
         rec: recorder,
         n,
-        windows: resume.map_or(0, |s| s.quanta),
-        q_start_nanos,
+        windows: init.quanta,
+        q_start_nanos: init.q_start.as_nanos(),
         q_end_nanos: q_end0,
         max_quanta: config.max_quanta,
         base: vec![Vec::new(); n],
@@ -525,11 +416,11 @@ pub(crate) fn run_sharded_optimistic_impl<R: Recorder>(
         shard_waste: vec![0; m],
         window_reexec_nodes: 0,
         repeat_rounds: 0,
-        total_packets: resume.map_or(0, |s| s.total_packets) + inject_count,
+        total_packets: init.total_packets,
         checkpoints: 0,
         rollbacks: 0,
         wasted_ns: 0,
-        stragglers: run_stragglers,
+        stragglers: init.stragglers,
         max_depth: 0,
         degraded_windows: 0,
         conservative_windows: 0,
@@ -575,8 +466,7 @@ pub(crate) fn run_sharded_optimistic_impl<R: Recorder>(
         .collect();
     let start = Instant::now();
     let shared = SharedOpt {
-        nic: config.nic,
-        arrivals,
+        config,
         opts,
         ranges: ranges.clone(),
         cells,
@@ -586,44 +476,19 @@ pub(crate) fn run_sharded_optimistic_impl<R: Recorder>(
         overflow: AtomicBool::new(false),
         barrier: TreeBarrier::new(m, leader),
     };
-    let joined: Vec<Vec<ParallelNodeResult>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .iter()
-            .enumerate()
-            .map(|(w, range)| {
-                let shard: Vec<OptNodeState> = range
-                    .clone()
-                    .map(|i| states_init[i].take().expect("each node state taken once"))
-                    .collect();
-                let shared = &shared;
-                scope.spawn(move || worker_thread(w, shard, config, shared))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker thread panicked"))
-            .collect()
-    });
-    if shared.overflow.load(Ordering::Acquire) {
-        return Err(SimError::QuantumCapExceeded {
-            engine: engine_kind,
-            max_quanta: config.max_quanta,
-        });
-    }
-    let wall = start.elapsed();
-    let mut per_node = Vec::with_capacity(n);
-    for nodes in joined {
-        per_node.extend(nodes);
-    }
-    let sim_end = per_node
-        .iter()
-        .map(|r| r.finish_sim)
-        .max()
-        .expect("at least two nodes");
+    let joined = run_shards(
+        &ranges,
+        init.nodes,
+        start,
+        &shared.overflow,
+        engine_kind,
+        shared.config.max_quanta,
+        |w, _base, shard| (worker_thread(w, shard, &shared), ()),
+    )?;
     let leader = shared.barrier.into_state();
     let result = ShardedOptimisticRunResult {
-        wall,
-        sim_end,
+        wall: joined.wall,
+        sim_end: joined.sim_end,
         windows: leader.windows,
         total_packets: leader.total_packets,
         checkpoints: leader.checkpoints,
@@ -639,7 +504,7 @@ pub(crate) fn run_sharded_optimistic_impl<R: Recorder>(
         reexec_trace: leader.reexec_trace,
         traces_truncated: leader.traces_truncated,
         mode_events: leader.mode_events,
-        per_node,
+        per_node: joined.per_node,
         workers: m,
         hybrid,
     };
@@ -649,16 +514,23 @@ pub(crate) fn run_sharded_optimistic_impl<R: Recorder>(
 /// Runs one shard to completion; returns its nodes' results in rank order.
 fn worker_thread<R: Recorder>(
     w: usize,
-    shard: Vec<OptNodeState>,
-    config: &ParallelConfig,
+    shard: Vec<NodeInit>,
     shared: &SharedOpt<R>,
 ) -> Vec<ParallelNodeResult> {
-    let mut states: Vec<OptNodeState> = shard;
+    let mut states: Vec<OptNodeState> = shard
+        .into_iter()
+        .map(|init| OptNodeState {
+            exec: init.exec,
+            sim: init.sim,
+            pending_ns: init.pending_ns,
+            msg_seq: init.msg_seq,
+        })
+        .collect();
     let mut ring: VecDeque<Vec<OptNodeState>> = VecDeque::new();
     let mut window_start = SimTime::ZERO;
     let mut window_end = SimTime::ZERO;
     // Per local node: next sim time the node can act on its own
-    // (`u64::MAX` = parked until a delivery, 0 = run unconditionally).
+    // (`u64::MAX` = parked until a delivery; see `advance_to_edge`).
     // Refreshed by every execution; the first window runs everyone.
     let mut wakes: Vec<u64> = vec![0; states.len()];
     loop {
@@ -701,7 +573,7 @@ fn worker_thread<R: Recorder>(
                 // reads for an unexecuted node. Repeat rounds never skip: a
                 // dirty node's rebuilt inbound set may legitimately be empty.
                 if !repeat
-                    && !config.full_sweep
+                    && !shared.config.full_sweep
                     && cell.inbound[l].is_empty()
                     && wakes[l] >= window_end.as_nanos()
                 {
@@ -735,14 +607,28 @@ fn worker_thread<R: Recorder>(
                         .exec
                         .deliver_fragment(f.meta.to_meta(), f.frag_index, f.arrival);
                 }
-                let (sends, wake) = run_node_window(
-                    &mut states[l],
+                // Sends are captured for the leader to route, not routed in
+                // place.
+                let s = &mut states[l];
+                let mut sends = Vec::new();
+                (_, wakes[l]) = advance_to_edge(
+                    &mut s.exec,
+                    &mut s.sim,
+                    &mut s.pending_ns,
+                    &mut s.msg_seq,
                     window_end,
-                    &shared.nic,
-                    config.host_work_per_op,
+                    &shared.config,
+                    |dst, departure, meta, frag_index, frag_bytes| {
+                        sends.push(WindowSend {
+                            dst,
+                            departure,
+                            meta,
+                            frag_index,
+                            frag_bytes,
+                        });
+                    },
                 );
                 cell.sends[l] = sends;
-                wakes[l] = wake;
                 cell.done[l] = states[l].exec.finished();
                 executed += 1;
             }
@@ -756,109 +642,9 @@ fn worker_thread<R: Recorder>(
             .arrive(w, |leader| leader_step(shared, leader));
     }
     states
-        .into_iter()
-        .map(|s| ParallelNodeResult {
-            rank: s.exec.rank(),
-            finish_sim: s.exec.finish_time().unwrap_or(s.sim),
-            ops: s.exec.ops_executed(),
-            messages_received: s.exec.messages_received(),
-            regions: s.exec.regions().to_vec(),
-        })
+        .iter()
+        .map(|s| ParallelNodeResult::of(&s.exec, s.sim))
         .collect()
-}
-
-/// Advances one node to the window edge — the sharded engine's inner loop
-/// (sends complete atomically, ops pend across edges), except that sends
-/// are captured for the leader to route instead of being routed in place.
-///
-/// Also returns the node's next wake time in sim nanoseconds: `u64::MAX`
-/// for a node that can only proceed on a delivery (blocked or finished),
-/// the wait target for a timer parked past the window edge, and 0 (run
-/// unconditionally) otherwise.
-fn run_node_window(
-    state: &mut OptNodeState,
-    window_end: SimTime,
-    nic: &aqs_net::NicModel,
-    host_work_per_op: f64,
-) -> (Vec<WindowSend>, u64) {
-    let mut sends = Vec::new();
-    let mut wake = 0u64;
-    while state.sim < window_end {
-        if let Some(remaining) = state.pending.take() {
-            let step = remaining.min(window_end - state.sim);
-            state.sim += step;
-            if step < remaining {
-                state.pending = Some(remaining - step);
-                break; // window boundary reached mid-op
-            }
-            continue;
-        }
-        match state.exec.next_action(state.sim) {
-            Action::Advance { dur, ops, idle } => {
-                if !idle && host_work_per_op > 0.0 && ops > 0 {
-                    busy_work(ops as f64 * host_work_per_op);
-                }
-                state.pending = Some(dur);
-            }
-            Action::Send { dst, bytes, tag } => {
-                let frag_count = nic.fragment_count(bytes);
-                let meta = MessageMeta {
-                    id: MessageId {
-                        src: state.exec.rank(),
-                        seq: state.msg_seq,
-                    },
-                    tag,
-                    bytes,
-                    frag_count,
-                };
-                state.msg_seq += 1;
-                for k in 0..frag_count {
-                    let sz = nic.fragment_size(bytes, k);
-                    state.sim += nic.serialization_delay(sz);
-                    sends.push(WindowSend {
-                        dst,
-                        departure: state.sim,
-                        meta,
-                        frag_index: k,
-                        frag_bytes: sz,
-                    });
-                }
-            }
-            Action::WaitUntil(t) => {
-                state.sim = t.min(window_end);
-                if t >= window_end {
-                    wake = t.as_nanos();
-                    break;
-                }
-            }
-            Action::Blocked => {
-                state.sim = window_end;
-                wake = u64::MAX;
-                break;
-            }
-            Action::Finished => {
-                state.sim = window_end;
-                wake = u64::MAX;
-                break;
-            }
-        }
-    }
-    state.sim = state.sim.max(window_end);
-    (sends, wake)
-}
-
-/// Fan-out targets of one send (unicast or broadcast-to-all-but-self).
-fn for_each_target(dst: SendTarget, src: usize, n: usize, mut f: impl FnMut(usize)) {
-    match dst {
-        SendTarget::Rank(r) => f(r.as_u32() as usize),
-        SendTarget::All => {
-            for t in 0..n {
-                if t != src {
-                    f(t);
-                }
-            }
-        }
-    }
 }
 
 fn inbound_key(e: &Inbound) -> (u32, u64, u32) {
@@ -892,9 +678,9 @@ fn leader_step<R: Recorder>(shared: &SharedOpt<R>, leader: &mut OptLeader<R>) {
     for src in 0..n {
         for f in &leader.sends[src] {
             for_each_target(f.dst, src, n, |t| {
-                let base = shared.nic.earliest_arrival(f.departure);
+                let base = shared.config.nic.earliest_arrival(f.departure);
                 let arrival = base
-                    + SimDuration::from_nanos(shared.arrivals.transit_nanos(
+                    + SimDuration::from_nanos(shared.config.arrivals.transit_nanos(
                         src,
                         t,
                         f.frag_bytes,
@@ -1233,10 +1019,8 @@ fn commit_window<R: Recorder>(
 mod tests {
     use super::*;
     use crate::config::ClusterConfig;
-    use crate::sim::{EngineKind, Sim, SimSwitch};
+    use crate::sim::{EngineKind, Sim};
     use aqs_core::SyncConfig;
-    use aqs_net::LatencyMatrixSwitch;
-    use aqs_node::{ProgramBuilder, Rank, Tag};
     use aqs_obs::ObsConfig;
     use aqs_workloads::{burst, ping_pong};
 
@@ -1401,38 +1185,5 @@ mod tests {
         assert_eq!(shard.rollbacks.iter().sum::<u64>(), d.rollbacks);
         assert_eq!(shard.checkpoints.iter().sum::<u64>(), d.checkpoints);
         assert_eq!(shard.wasted_ns.iter().sum::<u64>(), d.wasted_sim.as_nanos());
-    }
-
-    #[test]
-    fn latency_matrix_switch_matches_deterministic_engine() {
-        let spec = ping_pong(2, 20, 4096);
-        let matrix = LatencyMatrixSwitch::uniform(2, SimDuration::from_micros(3));
-        let det = Sim::new(spec.programs.clone())
-            .config(ClusterConfig::new(SyncConfig::ground_truth()).with_seed(7))
-            .switch(SimSwitch::LatencyMatrix(matrix.clone()))
-            .run();
-        let r = Sim::new(spec.programs)
-            .engine(EngineKind::Hybrid)
-            .sync(SyncConfig::ground_truth())
-            .switch(SimSwitch::LatencyMatrix(matrix))
-            .shards(2)
-            .run();
-        assert_eq!(r.simulated_outcome(), det.simulated_outcome());
-    }
-
-    #[test]
-    #[should_panic(expected = "quantum cap exceeded")]
-    fn a_deadlocked_workload_hits_the_quantum_cap() {
-        // Rank 0 waits for a message rank 1 never sends.
-        let starved = ProgramBuilder::new(Rank::new(0))
-            .recv(Some(Rank::new(1)), Tag::new(0))
-            .build();
-        let silent = ProgramBuilder::new(Rank::new(1)).compute(10).build();
-        let _ = Sim::new(vec![starved, silent])
-            .engine(EngineKind::ShardedOptimistic)
-            .sync(SyncConfig::ground_truth())
-            .max_quanta(50)
-            .shards(2)
-            .run();
     }
 }

@@ -32,7 +32,7 @@
 use crate::config::ClusterConfig;
 use crate::engine::{run_cluster_det, DetOutcome};
 use crate::optimistic::{run_optimistic_impl, OptimisticConfig, OptimisticRunResult};
-use crate::parallel::{ParallelConfig, ParallelSwitch};
+use crate::parallel::{ArrivalTable, ParallelConfig};
 use crate::result::RunResult;
 use crate::sharded::{run_sharded_impl, ShardedRunResult};
 use crate::sharded_optimistic::{
@@ -105,7 +105,8 @@ pub enum SimSwitch {
     /// switch). Supported by every engine.
     #[default]
     Perfect,
-    /// Fixed per-(src, dst) latency. Every engine but the optimistic one.
+    /// Fixed per-(src, dst) latency. Every engine but the optimistic one;
+    /// the matrix needs a port per node ([`SimError::SwitchTooSmall`]).
     LatencyMatrix(LatencyMatrixSwitch),
     /// Store-and-forward queueing with finite egress bandwidth.
     /// Deterministic engine only (stateful).
@@ -162,6 +163,14 @@ pub enum SimError {
         switch: &'static str,
         /// Why the combination is unsupported.
         reason: &'static str,
+    },
+    /// The [`SimSwitch::LatencyMatrix`] has fewer ports than the cluster
+    /// has nodes.
+    SwitchTooSmall {
+        /// Ports of the latency matrix.
+        ports: usize,
+        /// Nodes in the cluster.
+        nodes: usize,
     },
     /// The fabric configuration failed [`FabricConfig::validate`].
     InvalidFabric(String),
@@ -290,6 +299,9 @@ impl fmt::Display for SimError {
                 "the {} engine does not support the {switch} switch ({reason})",
                 engine.name()
             ),
+            SimError::SwitchTooSmall { ports, nodes } => {
+                write!(f, "the latency matrix has {ports} ports for {nodes} nodes")
+            }
             SimError::InvalidFabric(reason) => {
                 write!(f, "invalid fabric configuration: {reason}")
             }
@@ -643,8 +655,9 @@ impl Sim {
         self
     }
 
-    /// Sharded engines: real host nanoseconds of busy-work per simulated
-    /// operation (see [`ParallelConfig::host_work_per_op`]).
+    /// Sharded engines: real host nanoseconds of busy-work burned per
+    /// simulated operation, emulating the node simulator's own execution
+    /// cost. Zero (the default) runs the simulation at full speed.
     #[must_use]
     pub fn host_work_per_op(mut self, factor: f64) -> Self {
         self.host_work_per_op = factor;
@@ -850,8 +863,15 @@ impl Sim {
             }
             _ => {}
         }
-        if let SimSwitch::Fabric(cfg) = &self.switch {
-            cfg.validate().map_err(SimError::InvalidFabric)?;
+        match &self.switch {
+            SimSwitch::LatencyMatrix(m) if m.ports() < self.programs.len() => {
+                return Err(SimError::SwitchTooSmall {
+                    ports: m.ports(),
+                    nodes: self.programs.len(),
+                });
+            }
+            SimSwitch::Fabric(cfg) => cfg.validate().map_err(SimError::InvalidFabric)?,
+            _ => {}
         }
         if let Some(chaos) = &self.chaos {
             chaos.validate().map_err(SimError::InvalidChaos)?;
@@ -908,46 +928,20 @@ impl Sim {
                 (det_report(r), rec)
             }
             EngineKind::Sharded | EngineKind::ShardedOptimistic | EngineKind::Hybrid => {
-                let n = programs.len();
-                let par_switch = match switch {
-                    SimSwitch::Perfect => ParallelSwitch::Perfect,
-                    SimSwitch::LatencyMatrix(m) => ParallelSwitch::LatencyMatrix(m),
-                    SimSwitch::Fabric(cfg) => ParallelSwitch::Fabric(FatTreeFabric::new(cfg, n)),
-                    SimSwitch::StoreAndForward(_) => {
-                        unreachable!("rejected by Sim::validate before dispatch")
-                    }
-                };
-                let par_switch = match overlay {
-                    Some(o) => ParallelSwitch::Chaos(o, Box::new(par_switch)),
-                    None => par_switch,
-                };
                 let pcfg = ParallelConfig {
-                    sync: config.sync.clone(),
+                    arrivals: ArrivalTable::new(switch, overlay, programs.len()),
+                    sync: config.sync,
                     nic: config.nic,
                     cpu: config.cpu,
-                    switch: par_switch,
                     host_work_per_op,
                     max_quanta,
                     full_sweep,
                 };
                 let sync_label = pcfg.sync.build().label();
                 let seed = seed.as_ref();
-                if engine == EngineKind::Sharded {
-                    let (r, rec) = run_sharded_impl(programs, &pcfg, shards, rec, seed)?;
-                    let report = RunReport {
-                        engine,
-                        sync_label,
-                        n_nodes: r.per_node.len(),
-                        sim_end: r.sim_end,
-                        total_packets: r.total_packets,
-                        messages_received: r.messages_received_total(),
-                        stragglers: r.stragglers,
-                        total_quanta: r.total_quanta,
-                        wall_clock: WallClock::Real(r.wall),
-                        detail: EngineDetail::Sharded(Box::new(r)),
-                        obs: None,
-                    };
-                    (report, rec)
+                let (total_quanta, detail, rec) = if engine == EngineKind::Sharded {
+                    let (r, rec) = run_sharded_impl(programs, pcfg, shards, rec, seed)?;
+                    (r.total_quanta, EngineDetail::Sharded(Box::new(r)), rec)
                 } else {
                     let opts = ShardedOptimisticOpts {
                         cascade_bound,
@@ -955,22 +949,40 @@ impl Sim {
                         hybrid: (engine == EngineKind::Hybrid).then_some(hybrid_policy),
                     };
                     let (r, rec) =
-                        run_sharded_optimistic_impl(programs, &pcfg, shards, opts, rec, seed)?;
-                    let report = RunReport {
-                        engine,
-                        sync_label,
-                        n_nodes: r.per_node.len(),
-                        sim_end: r.sim_end,
-                        total_packets: r.total_packets,
-                        messages_received: r.messages_received_total(),
-                        stragglers: r.stragglers,
-                        total_quanta: r.windows,
-                        wall_clock: WallClock::Real(r.wall),
-                        detail: EngineDetail::ShardedOptimistic(Box::new(r)),
-                        obs: None,
-                    };
-                    (report, rec)
-                }
+                        run_sharded_optimistic_impl(programs, pcfg, shards, opts, rec, seed)?;
+                    (r.windows, EngineDetail::ShardedOptimistic(Box::new(r)), rec)
+                };
+                let (per_node, wall, sim_end, total_packets, stragglers) = match &detail {
+                    EngineDetail::Sharded(r) => (
+                        &r.per_node,
+                        r.wall,
+                        r.sim_end,
+                        r.total_packets,
+                        r.stragglers,
+                    ),
+                    EngineDetail::ShardedOptimistic(r) => (
+                        &r.per_node,
+                        r.wall,
+                        r.sim_end,
+                        r.total_packets,
+                        r.stragglers,
+                    ),
+                    _ => unreachable!("a sharded engine produced this detail"),
+                };
+                let report = RunReport {
+                    engine,
+                    sync_label,
+                    n_nodes: per_node.len(),
+                    sim_end,
+                    total_packets,
+                    messages_received: per_node.iter().map(|p| p.messages_received).sum(),
+                    stragglers,
+                    total_quanta,
+                    wall_clock: WallClock::Real(wall),
+                    detail,
+                    obs: None,
+                };
+                (report, rec)
             }
             EngineKind::Optimistic => {
                 debug_assert!(
@@ -1370,6 +1382,55 @@ mod tests {
             .try_run()
             .unwrap_err();
         assert!(matches!(err, SimError::InvalidChaos(_)), "got {err:?}");
+    }
+
+    #[test]
+    fn latency_matrix_switch_matches_deterministic_engine_on_every_sharded_engine() {
+        let spec = ping_pong(2, 20, 4096);
+        let matrix = LatencyMatrixSwitch::uniform(2, SimDuration::from_micros(3));
+        let mk = |engine| {
+            Sim::new(spec.programs.clone())
+                .engine(engine)
+                .sync(SyncConfig::ground_truth())
+                .seed(7)
+                .switch(SimSwitch::LatencyMatrix(matrix.clone()))
+                .shards(2)
+                .run()
+        };
+        let det = mk(EngineKind::Deterministic);
+        for kind in [
+            EngineKind::Sharded,
+            EngineKind::ShardedOptimistic,
+            EngineKind::Hybrid,
+        ] {
+            let r = mk(kind);
+            assert_eq!(r.simulated_outcome(), det.simulated_outcome(), "{kind:?}");
+            assert_eq!(r.stragglers.count(), 0, "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn an_undersized_latency_matrix_is_a_typed_error_on_every_engine() {
+        let spec = burst(4, 1000, 64);
+        let matrix = LatencyMatrixSwitch::uniform(2, SimDuration::from_micros(1));
+        for engine in [
+            EngineKind::Deterministic,
+            EngineKind::Sharded,
+            EngineKind::ShardedOptimistic,
+            EngineKind::Hybrid,
+        ] {
+            let err = Sim::new(spec.programs.clone())
+                .engine(engine)
+                .switch(SimSwitch::LatencyMatrix(matrix.clone()))
+                .shards(2)
+                .try_run()
+                .unwrap_err();
+            assert_eq!(
+                err,
+                SimError::SwitchTooSmall { ports: 2, nodes: 4 },
+                "engine={engine:?}"
+            );
+        }
     }
 
     #[test]

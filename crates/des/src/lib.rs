@@ -199,165 +199,10 @@ impl<T: Ord + Copy + fmt::Debug, E> fmt::Debug for EventQueue<T, E> {
     }
 }
 
-/// A self-contained sequential DES driver around [`EventQueue`].
-///
-/// `Simulation` owns the clock and hands each event to a handler that may
-/// schedule further events through [`Context`]. It is the conventional
-/// "event loop in a box" for models that don't need the cluster engine's
-/// bespoke outer loop, and it powers several of this repository's unit
-/// models and examples.
-///
-/// # Examples
-///
-/// A one-shot ping-pong between two logical processes:
-///
-/// ```
-/// use aqs_des::Simulation;
-/// use aqs_time::{SimDuration, SimTime};
-///
-/// #[derive(Debug)]
-/// enum Ev { Ping(u32), Pong(u32) }
-///
-/// let mut sim = Simulation::new();
-/// sim.schedule(SimTime::ZERO, Ev::Ping(3));
-/// let mut pongs = 0;
-/// sim.run(|ctx, ev| match ev {
-///     Ev::Ping(n) if n > 0 => {
-///         ctx.schedule_in(SimDuration::from_micros(1), Ev::Pong(n));
-///     }
-///     Ev::Pong(n) => {
-///         pongs += 1;
-///         ctx.schedule_in(SimDuration::from_micros(1), Ev::Ping(n - 1));
-///     }
-///     Ev::Ping(_) => {}
-/// });
-/// assert_eq!(pongs, 3);
-/// ```
-pub struct Simulation<E> {
-    queue: EventQueue<aqs_time::SimTime, E>,
-    now: aqs_time::SimTime,
-    processed: u64,
-}
-
-/// Scheduling surface handed to [`Simulation`] handlers.
-pub struct Context<'a, E> {
-    queue: &'a mut EventQueue<aqs_time::SimTime, E>,
-    now: aqs_time::SimTime,
-}
-
-impl<E> Context<'_, E> {
-    /// Current simulated time.
-    pub fn now(&self) -> aqs_time::SimTime {
-        self.now
-    }
-
-    /// Schedules an event at an absolute time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `time` is in the past — conservative DES never rewinds.
-    pub fn schedule(&mut self, time: aqs_time::SimTime, event: E) -> EventId {
-        assert!(
-            time >= self.now,
-            "cannot schedule into the past ({time} < {})",
-            self.now
-        );
-        self.queue.schedule(time, event)
-    }
-
-    /// Schedules an event `delay` after the current time.
-    pub fn schedule_in(&mut self, delay: aqs_time::SimDuration, event: E) -> EventId {
-        self.queue.schedule(self.now + delay, event)
-    }
-
-    /// Cancels a pending event. See [`EventQueue::cancel`].
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        self.queue.cancel(id)
-    }
-}
-
-impl<E> Default for Simulation<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> Simulation<E> {
-    /// Creates an empty simulation at time zero.
-    pub fn new() -> Self {
-        Self {
-            queue: EventQueue::new(),
-            now: aqs_time::SimTime::ZERO,
-            processed: 0,
-        }
-    }
-
-    /// Schedules an initial event (before or between runs).
-    pub fn schedule(&mut self, time: aqs_time::SimTime, event: E) -> EventId {
-        self.queue.schedule(time, event)
-    }
-
-    /// Current simulated time (time of the last delivered event).
-    pub fn now(&self) -> aqs_time::SimTime {
-        self.now
-    }
-
-    /// Number of events delivered so far.
-    pub fn processed(&self) -> u64 {
-        self.processed
-    }
-
-    /// Runs until the event queue is empty.
-    pub fn run(&mut self, mut handler: impl FnMut(&mut Context<'_, E>, E)) {
-        while let Some((time, event)) = self.queue.pop() {
-            debug_assert!(time >= self.now, "event queue went backwards");
-            self.now = time;
-            self.processed += 1;
-            let mut ctx = Context {
-                queue: &mut self.queue,
-                now: time,
-            };
-            handler(&mut ctx, event);
-        }
-    }
-
-    /// Runs until the queue is empty or the next event is later than
-    /// `horizon`; events beyond the horizon remain pending.
-    pub fn run_until(
-        &mut self,
-        horizon: aqs_time::SimTime,
-        mut handler: impl FnMut(&mut Context<'_, E>, E),
-    ) {
-        while let Some(t) = self.queue.peek_time() {
-            if t > horizon {
-                break;
-            }
-            let (time, event) = self.queue.pop().expect("peeked event vanished");
-            self.now = time;
-            self.processed += 1;
-            let mut ctx = Context {
-                queue: &mut self.queue,
-                now: time,
-            };
-            handler(&mut ctx, event);
-        }
-    }
-}
-
-impl<E> fmt::Debug for Simulation<E> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Simulation")
-            .field("now", &self.now)
-            .field("pending", &self.queue.len())
-            .field("processed", &self.processed)
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aqs_time::{HostTime, SimDuration, SimTime};
+    use aqs_time::HostTime;
     use proptest::prelude::*;
 
     #[test]
@@ -464,51 +309,11 @@ mod tests {
     }
 
     #[test]
-    fn simulation_runs_cascade() {
-        let mut sim: Simulation<u32> = Simulation::new();
-        sim.schedule(SimTime::ZERO, 4);
-        let mut seen = Vec::new();
-        sim.run(|ctx, n| {
-            seen.push((ctx.now(), n));
-            if n > 0 {
-                ctx.schedule_in(SimDuration::from_nanos(10), n - 1);
-            }
-        });
-        assert_eq!(seen.len(), 5);
-        assert_eq!(sim.now(), SimTime::from_nanos(40));
-        assert_eq!(sim.processed(), 5);
-    }
-
-    #[test]
-    fn run_until_respects_horizon() {
-        let mut sim: Simulation<u32> = Simulation::new();
-        sim.schedule(SimTime::from_nanos(10), 1);
-        sim.schedule(SimTime::from_nanos(50), 2);
-        let mut seen = Vec::new();
-        sim.run_until(SimTime::from_nanos(20), |_, n| seen.push(n));
-        assert_eq!(seen, vec![1]);
-        sim.run_until(SimTime::from_nanos(100), |_, n| seen.push(n));
-        assert_eq!(seen, vec![1, 2]);
-    }
-
-    #[test]
-    #[should_panic(expected = "into the past")]
-    fn scheduling_into_past_panics() {
-        let mut sim: Simulation<u8> = Simulation::new();
-        sim.schedule(SimTime::from_nanos(100), 0);
-        sim.run(|ctx, _| {
-            ctx.schedule(SimTime::from_nanos(1), 1);
-        });
-    }
-
-    #[test]
     fn debug_is_informative() {
         let mut q: EventQueue<HostTime, u8> = EventQueue::new();
         q.schedule(HostTime::from_nanos(1), 1);
         let s = format!("{q:?}");
         assert!(s.contains("pending"));
-        let sim: Simulation<u8> = Simulation::new();
-        assert!(format!("{sim:?}").contains("Simulation"));
     }
 
     proptest! {

@@ -3,7 +3,9 @@
 //! The paper's cluster simulator bridges every node's simulated NIC into a
 //! central **network controller** that behaves like a perfect link-layer
 //! (MAC-to-MAC) switch, with a timing component layered on top. This crate
-//! implements that machinery:
+//! implements that machinery, addressing ports by dense [`NodeId`] rather
+//! than by MAC: every engine knows each frame's destination node, so there
+//! is no address table to learn.
 //!
 //! * [`Packet`] — a timestamped link-layer frame (generic over payload).
 //! * [`NicModel`] — per-node NIC timing: bandwidth serialization, minimum
@@ -38,7 +40,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod bridge;
 mod chaos;
 mod controller;
 mod fabric;
@@ -47,11 +48,10 @@ mod packet;
 mod stats;
 mod switch;
 
-pub use bridge::{BridgeDecision, LearningBridge};
 pub use chaos::{ChaosConfig, ChaosOverlay, ChaosSwitch};
 pub use controller::{Delivery, NetworkController};
 pub use fabric::{FabricConfig, FatTreeFabric, LinkLoad, LinkPath, MAX_PATH_LINKS};
 pub use nic::NicModel;
-pub use packet::{Destination, MacAddr, NodeId, Packet, PacketId};
+pub use packet::{Destination, NodeId, Packet, PacketId};
 pub use stats::{StragglerStats, TraceEntry, TrafficTrace};
 pub use switch::{LatencyMatrixSwitch, PerfectSwitch, StoreAndForwardSwitch, SwitchModel};

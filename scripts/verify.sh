@@ -13,6 +13,10 @@ cargo fmt --all -- --check
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo clippy on the armed fault-inject and schedule-fuzz code"
+cargo clippy -p aqs-check --features fault-inject --all-targets -- -D warnings
+cargo clippy -p aqs-check --features schedule-fuzz --all-targets -- -D warnings
+
 echo "==> cargo doc (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
