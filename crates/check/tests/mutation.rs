@@ -16,7 +16,7 @@
 #![cfg(feature = "fault-inject")]
 
 use aqs_check::{check_case_with, shrink, CaseSpec, CheckOpts};
-use aqs_cluster::{ClusterConfig, Sim, SimError, SimSnapshot};
+use aqs_cluster::{ClusterConfig, EngineKind, Sim, SimError, SimSnapshot};
 use aqs_core::SyncConfig;
 use std::sync::Mutex;
 
@@ -50,8 +50,9 @@ fn size(case: &CaseSpec) -> u64 {
 
 /// Scans the seeded stream until the armed fault is detected, then shrinks
 /// the failing case and checks the shrinker's contract: the minimized case
-/// is no larger and still carries a failure reason.
-fn detect_and_shrink(name: &str, opts: &CheckOpts, scan_limit: u64) {
+/// is no larger and still carries a failure reason. Returns the minimized
+/// case.
+fn detect_and_shrink(name: &str, opts: &CheckOpts, scan_limit: u64) -> CaseSpec {
     let found = (0..scan_limit).find_map(|i| {
         let case = CaseSpec::generate(0xFA017, i);
         check_case_with(&case, opts).err().map(|e| (i, case, e))
@@ -77,6 +78,7 @@ fn detect_and_shrink(name: &str, opts: &CheckOpts, scan_limit: u64) {
         result.attempts,
         result.reason
     );
+    result.case
 }
 
 /// Deterministic-engine-only oracle runs: faults in the shared policy code
@@ -215,6 +217,33 @@ fn wake_rearm_skip_is_detected_and_shrunk() {
         ..sharded_only()
     };
     detect_and_shrink("wake-rearm-skip", &opts, 200);
+}
+
+#[test]
+fn busy_catch_up_skip_is_detected_and_shrunk() {
+    let _w = window();
+    let _g = Armed;
+    // A node parked busy inside an op wakes with its op's remainder
+    // unchanged, so the op runs on for every quantum it slept through. The
+    // forced-full-sweep twin never parks a busy node, so the active-set
+    // differential fires.
+    aqs_cluster::fault::arm(aqs_cluster::fault::Fault::BusyCatchUpSkip);
+    let case = detect_and_shrink("busy-catch-up-skip", &sharded_only(), 200);
+    let run = |full_sweep: bool| {
+        Sim::new(case.programs())
+            .config(ClusterConfig::new(SyncConfig::ground_truth()).with_seed(case.seed))
+            .switch(case.switch())
+            .engine(EngineKind::Sharded)
+            .shards(2)
+            .force_full_sweep(full_sweep)
+            .run()
+            .simulated_outcome()
+    };
+    assert_ne!(
+        run(false),
+        run(true),
+        "the minimized case must split the active set from the full sweep"
+    );
 }
 
 #[test]

@@ -72,6 +72,13 @@ pub enum Fault {
     /// under `force_full_sweep`, which is exactly what makes it a
     /// realistic active-set regression.
     WakeRearmSkip = 11,
+    /// The shared wake-up catch-up snaps a node that slept through quanta
+    /// inside one op to the current quantum start but forgets to charge
+    /// the skipped span to the op's remainder — the op runs that much
+    /// longer than its modelled duration. Detected by the active-set
+    /// differential: the forced full sweep never skips a busy node, so its
+    /// timeline stays correct.
+    BusyCatchUpSkip = 12,
 }
 
 static ARMED: AtomicU64 = AtomicU64::new(0);

@@ -11,10 +11,14 @@
 //! * `ParallelConfig` — the run configuration `Sim` hands to either
 //!   engine;
 //! * `prologue` — the run setup: resume checks, worker clamp, policy,
-//!   first quantum edge, seed routing, and one `NodeInit` per node;
+//!   first quantum edge, and seed routing;
 //! * `route_seed_frags` — routes a snapshot's cut-in-flight fragments;
-//! * `run_shards` — the epilogue: scoped spawn and join, quantum-cap
-//!   overflow, and the rank-ordered [`ParallelNodeResult`]s;
+//! * `run_shards` — scoped spawn and join: each worker builds its own
+//!   shard's node simulators from a `ShardSource` on its own thread, and
+//!   the join maps quantum-cap overflow and assembles the rank-ordered
+//!   [`ParallelNodeResult`]s;
+//! * `advance_to_edge` and `catch_up` — the node-advance loop and the
+//!   wake-up fast-forward both engines share;
 //! * `partition` and `busy_work`.
 //!
 //! # Examples
@@ -164,20 +168,22 @@ pub struct ParallelNodeResult {
 
 impl ParallelNodeResult {
     /// The outcome of `exec`, finished at `finish_sim` unless its program
-    /// recorded its own finish time.
-    pub(crate) fn of(exec: &NodeExecutor, finish_sim: SimTime) -> Self {
+    /// recorded its own finish time. Consumes the executor so its region
+    /// records move into the result instead of being copied.
+    pub(crate) fn of(exec: NodeExecutor, finish_sim: SimTime) -> Self {
         Self {
             rank: exec.rank(),
             finish_sim: exec.finish_time().unwrap_or(finish_sim),
             ops: exec.ops_executed(),
             messages_received: exec.messages_received(),
-            regions: exec.regions().to_vec(),
+            regions: exec.into_regions(),
         }
     }
 }
 
 /// Initial state of one node simulator: a fresh executor at sim time zero,
-/// or a restored executor at the snapshot's cut point.
+/// or a restored executor at the snapshot's cut point. Built one node at a
+/// time by [`ShardSource::build`] on the worker that will run it.
 pub(crate) struct NodeInit {
     pub(crate) exec: NodeExecutor,
     pub(crate) sim: SimTime,
@@ -205,8 +211,6 @@ pub(crate) struct RunStart {
     pub(crate) stragglers: StragglerStats,
     /// Nodes whose program had already finished.
     pub(crate) n_done: u64,
-    /// One initial state per node, in rank order.
-    pub(crate) nodes: Vec<NodeInit>,
 }
 
 /// Default worker count: the host's available parallelism.
@@ -232,29 +236,23 @@ pub(crate) fn partition(n: usize, m: usize) -> Vec<Range<usize>> {
 }
 
 /// The run setup both engines share: checks a resume seed against the
-/// cluster, clamps the worker count, builds the policy (loading its resumed
-/// state), fixes the first quantum edge, routes the seed's in-flight
-/// fragments into `sink` (see [`route_seed_frags`]), and builds each node's
-/// executor — fresh, or restored from the seed.
+/// cluster — its node count and every node's executor state, so a corrupt
+/// snapshot is a typed error before any worker spawns — clamps the worker
+/// count, builds the policy (loading its resumed state), fixes the first
+/// quantum edge, and routes the seed's in-flight fragments into `sink` (see
+/// [`route_seed_frags`]). The node simulators themselves are built later,
+/// by each worker for its own shard (see [`run_shards`]).
 ///
 /// `programs` have passed [`Sim`](crate::Sim)'s validation: at least two,
 /// program *i* for rank *i*.
 pub(crate) fn prologue(
-    programs: Vec<Program>,
+    programs: &[Program],
     config: &ParallelConfig,
     workers: Option<usize>,
     resume: Option<&ResumeSeed>,
     sink: impl FnMut(usize, SimTime, &FragSnap),
 ) -> Result<RunStart, SimError> {
     let n = programs.len();
-    if let Some(s) = resume {
-        if s.nodes.len() != n {
-            return Err(SimError::snapshot_format(format!(
-                "snapshot has {} nodes, simulation has {n}",
-                s.nodes.len()
-            )));
-        }
-    }
     let m = workers.unwrap_or_else(default_workers).clamp(1, n);
     let policy = config.sync.build();
     let q0 = policy.initial_quantum();
@@ -267,20 +265,16 @@ pub(crate) fn prologue(
         total_packets: 0,
         stragglers: StragglerStats::default(),
         n_done: 0,
-        nodes: Vec::with_capacity(n),
     };
     let Some(s) = resume else {
-        start
-            .nodes
-            .extend(programs.into_iter().map(|program| NodeInit {
-                exec: NodeExecutor::new(program, config.cpu),
-                sim: SimTime::ZERO,
-                msg_seq: 0,
-                pending_ns: 0,
-                done: false,
-            }));
         return Ok(start);
     };
+    if s.nodes.len() != n {
+        return Err(SimError::snapshot_format(format!(
+            "snapshot has {} nodes, simulation has {n}",
+            s.nodes.len()
+        )));
+    }
     start
         .policy
         .load_state(&s.policy_state)
@@ -292,16 +286,11 @@ pub(crate) fn prologue(
     start.total_packets = s.total_packets + routed;
     start.stragglers = s.stragglers;
     start.stragglers.merge(&snapped);
-    for (i, (program, ns)) in programs.into_iter().zip(&s.nodes).enumerate() {
+    for (i, (program, ns)) in programs.iter().zip(&s.nodes).enumerate() {
+        ns.exec
+            .check(program)
+            .map_err(|e| SimError::snapshot_format(format!("node {i}: {e}")))?;
         start.n_done += u64::from(ns.done);
-        start.nodes.push(NodeInit {
-            exec: NodeExecutor::from_state(program, config.cpu, ns.exec.clone())
-                .map_err(|e| SimError::snapshot_format(format!("node {i}: {e}")))?,
-            sim: s.q_start,
-            msg_seq: ns.msg_seq,
-            pending_ns: ns.pending.map_or(0, |d| d.as_nanos()),
-            done: ns.done,
-        });
     }
     Ok(start)
 }
@@ -377,9 +366,16 @@ pub(crate) fn route_seed_frags(
 /// routes it in place, the optimistic engine captures it for its leader.
 ///
 /// Returns `(lag_ns, wake_ns)`: the node's idle tail before the edge (0 when
-/// busy to the edge) and its next wake — `edge` when it must run again next
-/// window (mid-op remainder, or more program to poll), a timer's deadline,
-/// or `u64::MAX` when only a delivery can wake it (blocked or finished).
+/// busy to the edge) and the first instant it can act on its own:
+///
+/// * busy — `edge + pending_ns`, the end of the op it is in, or its own
+///   position when a send's serialization carried it past the edge
+///   (`edge` itself when it is free to poll at the edge);
+/// * a timer's deadline;
+/// * `u64::MAX` when only a delivery can wake it (blocked or finished).
+///
+/// A node parked busy until its wake is not executed in the windows it
+/// sleeps through; [`catch_up`] charges that span to its op when it wakes.
 #[inline]
 pub(crate) fn advance_to_edge(
     exec: &mut NodeExecutor,
@@ -390,8 +386,6 @@ pub(crate) fn advance_to_edge(
     config: &ParallelConfig,
     mut send: impl FnMut(SendTarget, SimTime, MessageMeta, u32, u32),
 ) -> (u64, u64) {
-    let mut lag_ns = 0u64;
-    let mut wake = edge.as_nanos();
     while *sim < edge {
         if *pending_ns != 0 {
             let remaining = SimDuration::from_nanos(*pending_ns);
@@ -428,19 +422,53 @@ pub(crate) fn advance_to_edge(
             }
             Action::WaitUntil(t) if t < edge => *sim = t,
             Action::WaitUntil(t) => {
-                lag_ns = (edge - *sim).as_nanos();
-                wake = t.as_nanos();
+                let lag_ns = (edge - *sim).as_nanos();
                 *sim = edge;
+                return (lag_ns, t.as_nanos());
             }
             Action::Blocked | Action::Finished => {
-                lag_ns = (edge - *sim).as_nanos();
-                wake = u64::MAX;
+                let lag_ns = (edge - *sim).as_nanos();
                 *sim = edge;
+                return (lag_ns, u64::MAX);
             }
         }
     }
-    *sim = (*sim).max(edge);
-    (lag_ns, wake)
+    // Busy to the edge: a remainder is left only when the loop stopped at
+    // the edge, so this is the op's end, or the node's own position at or
+    // past the edge.
+    (0, sim.as_nanos() + *pending_ns)
+}
+
+/// Fast-forwards a woken node whose `sim` lags `start`, the start of the
+/// window it executes in. The windows it slept through were either idle
+/// (nothing pending: only a delivery or a timer could wake it) or spent
+/// inside one op (parked busy until its end, see [`advance_to_edge`]). The
+/// full sweep would have dragged it to every edge since, consuming exactly
+/// the skipped span from the op's remainder; doing that in one step lands
+/// in the identical state.
+#[inline]
+pub(crate) fn catch_up(sim: &mut SimTime, pending_ns: &mut u64, start: SimTime) {
+    if *sim >= start {
+        return;
+    }
+    let skipped = (start - *sim).as_nanos();
+    #[allow(unused_mut)]
+    let mut consume = *pending_ns != 0;
+    #[cfg(feature = "fault-inject")]
+    if crate::fault::armed(crate::fault::Fault::BusyCatchUpSkip) {
+        // Armed bug: the parked op is not charged for the skipped span.
+        consume = false;
+    }
+    if consume {
+        // A busy node wakes no later than its op's end.
+        debug_assert!(
+            *pending_ns >= skipped,
+            "parked op ends at +{} ns but woke {skipped} ns late",
+            *pending_ns
+        );
+        *pending_ns = pending_ns.saturating_sub(skipped);
+    }
+    *sim = start;
 }
 
 /// Fan-out targets of one send: its rank, or every node but the sender.
@@ -449,6 +477,54 @@ pub(crate) fn for_each_target(dst: SendTarget, src: usize, n: usize, mut f: impl
     match dst {
         SendTarget::Rank(r) => f(r.index()),
         SendTarget::All => (0..n).filter(|&t| t != src).for_each(f),
+    }
+}
+
+/// One worker's share of the run's inputs: its shard's programs (taken
+/// from the run's program list) and, on resume, the seed holding their
+/// restored states.
+pub(crate) struct ShardSource<'a> {
+    /// Global index of the shard's first node.
+    pub(crate) base: usize,
+    programs: &'a mut [Program],
+    seed: Option<&'a ResumeSeed>,
+    cpu: CpuModel,
+}
+
+impl<'a> ShardSource<'a> {
+    /// Number of nodes in the shard.
+    pub(crate) fn len(&self) -> usize {
+        self.programs.len()
+    }
+
+    /// Builds the shard's node simulators, in rank order, on the calling
+    /// thread: fresh executors at time zero, or — on resume — executors
+    /// restored at the cut from states [`prologue`] already checked.
+    pub(crate) fn build(self) -> impl Iterator<Item = NodeInit> + 'a {
+        let (base, cpu, seed) = (self.base, self.cpu, self.seed);
+        self.programs.iter_mut().enumerate().map(move |(l, slot)| {
+            let rank = slot.rank();
+            let program = std::mem::replace(slot, Program::new(rank, Vec::new()));
+            match seed {
+                None => NodeInit {
+                    exec: NodeExecutor::new(program, cpu),
+                    sim: SimTime::ZERO,
+                    msg_seq: 0,
+                    pending_ns: 0,
+                    done: false,
+                },
+                Some(s) => {
+                    let ns = &s.nodes[base + l];
+                    NodeInit {
+                        exec: NodeExecutor::restore(program, cpu, ns.exec.clone()),
+                        sim: s.q_start,
+                        msg_seq: ns.msg_seq,
+                        pending_ns: ns.pending.map_or(0, |d| d.as_nanos()),
+                        done: ns.done,
+                    }
+                }
+            }
+        })
     }
 }
 
@@ -465,31 +541,39 @@ pub(crate) struct ShardsJoined<T> {
 }
 
 /// The run epilogue both engines share: spawns one scoped worker per shard
-/// — `worker(w, base, nodes)` with shard `w`'s first global index and its
-/// nodes' initial states — joins them in shard order, and maps a raised
-/// `overflow` flag to [`SimError::QuantumCapExceeded`]. Shards are
+/// — `worker(w, source)` with shard `w`'s [`ShardSource`], from which the
+/// worker builds its own nodes — joins them in shard order, and maps a
+/// raised `overflow` flag to [`SimError::QuantumCapExceeded`]. Shards are
 /// contiguous and joined in order, so flattening their results yields rank
 /// order.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_shards<T: Send>(
     ranges: &[Range<usize>],
-    nodes: Vec<NodeInit>,
+    mut programs: Vec<Program>,
+    seed: Option<&ResumeSeed>,
+    config: &ParallelConfig,
     start: Instant,
     overflow: &AtomicBool,
     engine: EngineKind,
-    max_quanta: u64,
-    worker: impl Fn(usize, usize, Vec<NodeInit>) -> (Vec<ParallelNodeResult>, T) + Sync,
+    worker: impl Fn(usize, ShardSource<'_>) -> (Vec<ParallelNodeResult>, T) + Sync,
 ) -> Result<ShardsJoined<T>, SimError> {
-    let n = nodes.len();
-    let mut nodes = nodes.into_iter();
+    let n = programs.len();
     let joined: Vec<(Vec<ParallelNodeResult>, T)> = std::thread::scope(|scope| {
         let worker = &worker;
+        let mut rest: &mut [Program] = &mut programs;
         let handles: Vec<_> = ranges
             .iter()
             .enumerate()
             .map(|(w, range)| {
-                let shard: Vec<NodeInit> = nodes.by_ref().take(range.len()).collect();
-                let base = range.start;
-                scope.spawn(move || worker(w, base, shard))
+                let (mine, tail) = std::mem::take(&mut rest).split_at_mut(range.len());
+                rest = tail;
+                let source = ShardSource {
+                    base: range.start,
+                    programs: mine,
+                    seed,
+                    cpu: config.cpu,
+                };
+                scope.spawn(move || worker(w, source))
             })
             .collect();
         handles
@@ -498,7 +582,10 @@ pub(crate) fn run_shards<T: Send>(
             .collect()
     });
     if overflow.load(Ordering::Acquire) {
-        return Err(SimError::QuantumCapExceeded { engine, max_quanta });
+        return Err(SimError::QuantumCapExceeded {
+            engine,
+            max_quanta: config.max_quanta,
+        });
     }
     let wall = start.elapsed();
     let mut per_node = Vec::with_capacity(n);

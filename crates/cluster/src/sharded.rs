@@ -54,8 +54,8 @@
 //! ```
 
 use crate::parallel::{
-    advance_to_edge, for_each_target, partition, prologue, run_shards, ArrivalTable, NodeInit,
-    ParallelConfig, ParallelNodeResult,
+    advance_to_edge, catch_up, for_each_target, partition, prologue, run_shards, ArrivalTable,
+    ParallelConfig, ParallelNodeResult, ShardSource,
 };
 use crate::sim::{EngineKind, SimError};
 use crate::snapshot::ResumeSeed;
@@ -122,6 +122,18 @@ struct ShardInFlight {
 
 /// Stop sentinel published through `q_end`.
 const Q_END_STOP: u64 = u64::MAX;
+
+/// Lag-slot sentinel: the node was not executed this quantum and is parked
+/// idle, so its lag is the whole quantum — what the full sweep computes
+/// when it re-polls a parked node. The leader puts it back after reading a
+/// real lag.
+const LAG_IDLE: u64 = u64::MAX;
+/// Lag-slot sentinel: the node is parked busy (inside an op, or carried
+/// past the edge by a send), so its lag is 0 in every quantum until it next
+/// executes — what the full sweep computes for a node busy to the edge.
+/// Sticky: the leader leaves it in place; the node's next execution
+/// overwrites it.
+const LAG_BUSY: u64 = u64::MAX - 1;
 
 /// State only the barrier leader touches, via
 /// [`TreeBarrier::arrive`] — no mutex: exclusivity comes from the barrier
@@ -434,7 +446,7 @@ pub(crate) fn run_sharded_impl<R: Recorder>(
     let n = programs.len();
     let weights: Vec<u64> = programs.iter().map(|p| p.ops().len() as u64).collect();
     let mut injected = Vec::new();
-    let init = prologue(programs, &config, workers, resume, |t, arrival, f| {
+    let init = prologue(&programs, &config, workers, resume, |t, arrival, f| {
         injected.push(ShardInFlight {
             dst: t as u32,
             meta: f.meta,
@@ -483,13 +495,11 @@ pub(crate) fn run_sharded_impl<R: Recorder>(
         shard_obs: (0..m)
             .map(|_| CachePadded::new(ShardObsSlot::default()))
             .collect(),
-        // The lag sentinel: `u64::MAX` means "not executed this quantum".
-        // Workers store a node's real lag when they execute it; the leader
-        // swaps the sentinel back in each quantum and substitutes the full
-        // quantum length for skipped nodes — exactly the lag the full sweep
-        // computes for a node it re-polls while parked.
+        // Workers store a node's real lag (or `LAG_BUSY`) when they execute
+        // it; a slot still holding `LAG_IDLE` at the barrier marks a node
+        // the active set skipped while it was parked idle.
         lag_slots: (0..n)
-            .map(|_| CachePadded::new(AtomicU64::new(u64::MAX)))
+            .map(|_| CachePadded::new(AtomicU64::new(LAG_IDLE)))
             .collect(),
         fabric_slots: if n_links > 0 {
             (0..m).map(|_| LinkSlot::new(n_links)).collect()
@@ -509,12 +519,13 @@ pub(crate) fn run_sharded_impl<R: Recorder>(
     let q_start = init.q_start;
     let joined = run_shards(
         &ranges,
-        init.nodes,
+        programs,
+        resume,
+        &shared.config,
         start,
         &shared.overflow,
         EngineKind::Sharded,
-        shared.config.max_quanta,
-        |w, base, shard| worker_thread(w, base, q_start, shard, &shared),
+        |w, source| worker_thread(w, q_start, source, &shared),
     )?;
     // Workers joined in shard order, so the straggler merge is
     // deterministic.
@@ -541,9 +552,9 @@ pub(crate) fn run_sharded_impl<R: Recorder>(
     Ok((result, leader.rec))
 }
 
-/// Runs shard `w` (global nodes from `base`, starting at quantum start
-/// `q_start`) to completion; returns its nodes' results (in rank order),
-/// the worker's run-total straggler tally, its packet pool's
+/// Builds shard `w`'s node simulators from `source` and runs them, from
+/// quantum start `q_start`, to completion; returns its nodes' results (in
+/// rank order), the worker's run-total straggler tally, its packet pool's
 /// heap-allocation count, and the number of node executions it performed.
 ///
 /// The active-set scheduler (the default) executes only nodes with a
@@ -554,12 +565,11 @@ pub(crate) fn run_sharded_impl<R: Recorder>(
 /// baseline the active set must match bit for bit.
 fn worker_thread<R: Recorder>(
     w: usize,
-    base: usize,
     q_start: SimTime,
-    shard: Vec<NodeInit>,
+    source: ShardSource<'_>,
     shared: &SharedSharded<R>,
 ) -> (Vec<ParallelNodeResult>, (StragglerStats, u64, u64)) {
-    let len = shard.len();
+    let (base, len) = (source.base, source.len());
     let mut nodes = ShardNodes {
         base,
         execs: Vec::with_capacity(len),
@@ -568,7 +578,7 @@ fn worker_thread<R: Recorder>(
         pending_ns: Vec::with_capacity(len),
         done_reported: Vec::with_capacity(len),
     };
-    for init in shard {
+    for init in source.build() {
         nodes.execs.push(init.exec);
         nodes.sim.push(init.sim);
         nodes.msg_seq.push(init.msg_seq);
@@ -672,7 +682,11 @@ fn worker_thread<R: Recorder>(
                         wheel.heap.push(Reverse((wake, l as u32)));
                     }
                     if R::ENABLED {
-                        shared.lag_slots[base + l].store(lag_ns, Ordering::Relaxed);
+                        // Busy past the edge: the node sleeps until `wake`
+                        // with a lag of 0 in every quantum it skips.
+                        let busy = lag_ns == 0 && wake > q_end_ns;
+                        let slot = if busy { LAG_BUSY } else { lag_ns };
+                        shared.lag_slots[base + l].store(slot, Ordering::Relaxed);
                     }
                     active += 1;
                 }
@@ -690,8 +704,11 @@ fn worker_thread<R: Recorder>(
     // A parked node's `sim` lane may lag the last quantum edge
     // (fast-forwarding is lazy); the full sweep would have dragged it to
     // the edge every quantum.
-    let results = (0..len)
-        .map(|l| ParallelNodeResult::of(&nodes.execs[l], nodes.sim[l].max(q_end)))
+    let results = nodes
+        .execs
+        .into_iter()
+        .zip(nodes.sim)
+        .map(|(exec, sim)| ParallelNodeResult::of(exec, sim.max(q_end)))
         .collect();
     (
         results,
@@ -713,13 +730,7 @@ fn advance_node<R: Recorder>(
     q_start: SimTime,
     q_end: SimTime,
 ) -> (u64, u64) {
-    // Fast-forward a woken sleeper: the full sweep dragged `sim` to every
-    // intervening quantum edge; skipping those quanta and taking one `max`
-    // against the current quantum start lands in the identical state,
-    // because a parked node's re-polls are side-effect-free.
-    if nodes.sim[l] < q_start {
-        nodes.sim[l] = q_start;
-    }
+    catch_up(&mut nodes.sim[l], &mut nodes.pending_ns[l], q_start);
     let src = nodes.base + l;
     let exec = &mut nodes.execs[l];
     let woke = advance_to_edge(
@@ -811,14 +822,19 @@ fn leader_step<R: Recorder>(
             leader
                 .waits
                 .push(latest.saturating_sub(ts.get(shard as usize)));
-            // Swap the sentinel back in for next quantum. A node the active
-            // set skipped (sentinel still present) idled through the whole
-            // quantum: its lag is the full quantum length, exactly what the
-            // full sweep computes when it re-polls a parked node.
-            let lag = shared.lag_slots[node].swap(u64::MAX, Ordering::Relaxed);
-            leader
-                .lags
-                .push(if lag == u64::MAX { q_len_nanos } else { lag });
+            // A node the active set skipped either idled through the whole
+            // quantum (lag = its length) or is parked busy (lag 0 until it
+            // next executes) — the full sweep's values in both cases. A
+            // real lag is this quantum's only: the idle sentinel goes back.
+            let slot = &shared.lag_slots[node];
+            leader.lags.push(match slot.load(Ordering::Relaxed) {
+                LAG_IDLE => q_len_nanos,
+                LAG_BUSY => 0,
+                lag => {
+                    slot.store(LAG_IDLE, Ordering::Relaxed);
+                    lag
+                }
+            });
         }
         let mut s_count = 0u64;
         let mut s_max = 0u64;
@@ -1042,6 +1058,59 @@ mod tests {
             let r = run_sharded(sim(programs.clone(), SyncConfig::ground_truth(), m));
             assert_eq!(r.nodes_executed, reference.nodes_executed, "workers={m}");
         }
+    }
+
+    /// A ring where every rank computes for longer than a 1 µs quantum,
+    /// then sends 16 KiB (two fragments whose serialization outlasts the
+    /// quantum) to its successor and receives from its predecessor.
+    fn busy_ring(n: usize, rounds: usize) -> Vec<Program> {
+        (0..n)
+            .map(|r| {
+                let next = Rank::new(((r + 1) % n) as u32);
+                let prev = Rank::new(((r + n - 1) % n) as u32);
+                let mut b = ProgramBuilder::new(Rank::new(r as u32));
+                for _ in 0..rounds {
+                    b = b
+                        .compute(26_000 * (r as u64 + 1))
+                        .send(next, 16_384, Tag::new(0))
+                        .recv(Some(prev), Tag::new(0));
+                }
+                b.build()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn active_set_records_the_full_sweeps_vt_lags() {
+        // A node parked busy (mid-op, or carried past the edge by a send)
+        // is skipped with a lag of 0 — the full sweep's value — while an
+        // idle sleeper is charged the whole quantum.
+        let sync = SyncConfig::fixed_micros(1);
+        let programs = busy_ring(5, 4);
+        let (full, full_fr) =
+            run_recorded(sim(programs.clone(), sync.clone(), 2).force_full_sweep(true));
+        for m in 1..=4 {
+            let (r, fr) = run_recorded(sim(programs.clone(), sync.clone(), m));
+            assert_eq!(r.sim_end, full.sim_end, "workers={m}");
+            assert_eq!(r.total_quanta, full.total_quanta, "workers={m}");
+            assert_eq!(fr.vt_lag_hist(), full_fr.vt_lag_hist(), "workers={m}");
+            assert!(
+                r.nodes_executed < full.nodes_executed / 4,
+                "busy nodes must sleep through their ops: {} vs {}",
+                r.nodes_executed,
+                full.nodes_executed
+            );
+        }
+        // A lone 1 ms compute under 1 µs quanta: rank 0 runs once to start
+        // it and once to finish it, rank 1 once to finish its empty
+        // program — not once per quantum.
+        let lone = vec![
+            ProgramBuilder::new(Rank::new(0)).compute(2_600_000).build(),
+            ProgramBuilder::new(Rank::new(1)).build(),
+        ];
+        let r = run_sharded(sim(lone, sync, 2));
+        assert!(r.total_quanta >= 1_000, "{} quanta", r.total_quanta);
+        assert_eq!(r.nodes_executed, 3);
     }
 
     #[test]

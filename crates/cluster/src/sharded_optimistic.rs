@@ -58,8 +58,8 @@
 //! for both the pure and hybrid engines.
 
 use crate::parallel::{
-    advance_to_edge, for_each_target, partition, prologue, run_shards, NodeInit, ParallelConfig,
-    ParallelNodeResult,
+    advance_to_edge, catch_up, for_each_target, partition, prologue, run_shards, ParallelConfig,
+    ParallelNodeResult, ShardSource,
 };
 use crate::sim::{EngineKind, SimError};
 use crate::snapshot::ResumeSeed;
@@ -370,7 +370,7 @@ pub(crate) fn run_sharded_optimistic_impl<R: Recorder>(
 ) -> Result<(ShardedOptimisticRunResult, R), SimError> {
     let n = programs.len();
     let mut injected: Vec<Vec<Inbound>> = vec![Vec::new(); n];
-    let init = prologue(programs, &config, workers, resume, |t, arrival, f| {
+    let init = prologue(&programs, &config, workers, resume, |t, arrival, f| {
         injected[t].push(Inbound {
             arrival,
             meta_id: f.meta.id,
@@ -478,12 +478,13 @@ pub(crate) fn run_sharded_optimistic_impl<R: Recorder>(
     };
     let joined = run_shards(
         &ranges,
-        init.nodes,
+        programs,
+        resume,
+        &shared.config,
         start,
         &shared.overflow,
         engine_kind,
-        shared.config.max_quanta,
-        |w, _base, shard| (worker_thread(w, shard, &shared), ()),
+        |w, source| (worker_thread(w, source, &shared), ()),
     )?;
     let leader = shared.barrier.into_state();
     let result = ShardedOptimisticRunResult {
@@ -511,14 +512,15 @@ pub(crate) fn run_sharded_optimistic_impl<R: Recorder>(
     Ok((result, leader.rec))
 }
 
-/// Runs one shard to completion; returns its nodes' results in rank order.
+/// Builds shard `w`'s node simulators from `source` and runs them to
+/// completion; returns its nodes' results in rank order.
 fn worker_thread<R: Recorder>(
     w: usize,
-    shard: Vec<NodeInit>,
+    source: ShardSource<'_>,
     shared: &SharedOpt<R>,
 ) -> Vec<ParallelNodeResult> {
-    let mut states: Vec<OptNodeState> = shard
-        .into_iter()
+    let mut states: Vec<OptNodeState> = source
+        .build()
         .map(|init| OptNodeState {
             exec: init.exec,
             sim: init.sim,
@@ -568,9 +570,9 @@ fn worker_thread<R: Recorder>(
                 // Active-set skip: a node whose own next wake lies at or
                 // beyond the window edge (an event at exactly `window_end`
                 // is the next window's first instant), with nothing inbound,
-                // can only poll — its sends stay empty and its done flag
-                // keeps its previous value, which is exactly what the leader
-                // reads for an unexecuted node. Repeat rounds never skip: a
+                // can only poll or continue the op it is in — its sends stay
+                // empty and its done flag keeps its previous value, which is
+                // exactly what the leader reads for an unexecuted node. Repeat rounds never skip: a
                 // dirty node's rebuilt inbound set may legitimately be empty.
                 if !repeat
                     && !shared.config.full_sweep
@@ -596,11 +598,9 @@ fn worker_thread<R: Recorder>(
                 // (or was restored from a checkpoint cloned while it
                 // slept): its sim still sits at the edge of its last
                 // executed window, where a full sweep would have dragged it
-                // to every edge since. Skipped time is idle by
-                // construction, so the jump is exact.
-                if states[l].sim < window_start {
-                    states[l].sim = window_start;
-                }
+                // to every edge since.
+                let s = &mut states[l];
+                catch_up(&mut s.sim, &mut s.pending_ns, window_start);
                 let inbound = std::mem::take(&mut cell.inbound[l]);
                 for f in &inbound {
                     states[l]
@@ -642,8 +642,8 @@ fn worker_thread<R: Recorder>(
             .arrive(w, |leader| leader_step(shared, leader));
     }
     states
-        .iter()
-        .map(|s| ParallelNodeResult::of(&s.exec, s.sim))
+        .into_iter()
+        .map(|s| ParallelNodeResult::of(s.exec, s.sim))
         .collect()
 }
 

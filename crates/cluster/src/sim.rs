@@ -1598,6 +1598,22 @@ mod tests {
             matches!(err, SimError::SnapshotSpecMismatch { .. }),
             "got {err:?}"
         );
+        // A node state that cannot resume its program is a typed format
+        // error on every parallel engine, raised before any worker starts.
+        let mut bad = snap.clone();
+        bad.body.nodes[1].exec.pc = 10_000;
+        for kind in [
+            EngineKind::Sharded,
+            EngineKind::ShardedOptimistic,
+            EngineKind::Hybrid,
+        ] {
+            let err = sim.clone().engine(kind).resume(&bad).unwrap_err();
+            assert!(
+                matches!(err, SimError::SnapshotFormat { .. })
+                    && err.to_string().contains("node 1"),
+                "{kind:?}: {err:?}"
+            );
+        }
         // The optimistic engine has no quantum edges to cut at.
         let opt = sim.clone().engine(EngineKind::Optimistic);
         assert_eq!(

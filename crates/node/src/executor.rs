@@ -296,31 +296,40 @@ impl NodeExecutor {
     }
 
     /// Rebuilds an executor captured by [`Self::export_state`] over the same
-    /// (configuration-derived) program and CPU model.
+    /// (configuration-derived) program and CPU model, rejecting a state that
+    /// fails [`ExecutorState::check`].
     pub fn from_state(
         program: Program,
         cpu: CpuModel,
         state: ExecutorState,
     ) -> Result<Self, String> {
-        if state.pc as usize > program.ops().len() {
-            return Err(format!(
-                "pc {} beyond program length {}",
-                state.pc,
-                program.ops().len()
-            ));
-        }
-        Ok(Self {
+        state.check(&program)?;
+        Ok(Self::restore(program, cpu, state))
+    }
+
+    /// Rebuilds an executor from a state that already passed
+    /// [`ExecutorState::check`] against `program` — the split lets a caller
+    /// validate every node up front and restore each one later, on another
+    /// thread. An unchecked state makes the executor misbehave later.
+    pub fn restore(program: Program, cpu: CpuModel, state: ExecutorState) -> Self {
+        Self {
             program,
             cpu,
             pc: state.pc as usize,
-            mailbox: Mailbox::from_state(state.mailbox)?,
+            mailbox: Mailbox::restore(state.mailbox),
             ops_executed: state.ops_executed,
             messages_received: state.messages_received,
             pending_overhead: state.pending_overhead,
             open_regions: state.open_regions.into_iter().collect(),
             regions: state.regions,
             finish_time: state.finish_time,
-        })
+        }
+    }
+
+    /// Consumes the executor, handing back its closed region instances in
+    /// completion order without copying them.
+    pub fn into_regions(self) -> Vec<RegionRecord> {
+        self.regions
     }
 }
 
@@ -344,6 +353,23 @@ pub struct ExecutorState {
     pub finish_time: Option<SimTime>,
     /// Receive-side state.
     pub mailbox: MailboxState,
+}
+
+impl ExecutorState {
+    /// Checks that this state can resume `program`: the program counter
+    /// lies within it, and every partial assembly in the mailbox state has a
+    /// `frag_count`-long mask with some but not all fragments received and
+    /// a message id of its own.
+    pub fn check(&self, program: &Program) -> Result<(), String> {
+        if self.pc as usize > program.ops().len() {
+            return Err(format!(
+                "pc {} beyond program length {}",
+                self.pc,
+                program.ops().len()
+            ));
+        }
+        self.mailbox.check()
+    }
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 use crate::program::{Rank, Tag};
 use aqs_time::SimTime;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// Globally unique message identity: sender rank + per-sender sequence
@@ -121,6 +121,23 @@ impl Mailbox {
             frag_index < meta.frag_count,
             "fragment index {frag_index} out of range"
         );
+        // Fast path: a single-fragment message completes on arrival, so it
+        // needs no reassembly entry — unless its id collides with a message
+        // being assembled, which the slow path reports as conflicting.
+        if meta.frag_count == 1 && !self.assembling.contains_key(&meta.id) {
+            return Some(self.complete(meta, arrival));
+        }
+        self.assemble(meta, frag_index, arrival)
+    }
+
+    /// The reassembly path of [`Self::deliver_fragment`], for an in-range
+    /// fragment.
+    fn assemble(
+        &mut self,
+        meta: MessageMeta,
+        frag_index: u32,
+        arrival: SimTime,
+    ) -> Option<SimTime> {
         let slot = self.assembling.entry(meta.id).or_insert(Assembling {
             meta,
             received_mask: vec![false; meta.frag_count as usize],
@@ -138,15 +155,17 @@ impl Mailbox {
         slot.latest_arrival = slot.latest_arrival.max(arrival);
         if slot.received == meta.frag_count {
             let done = self.assembling.remove(&meta.id).expect("slot vanished");
-            self.completed_total += 1;
-            self.ready.push(Ready {
-                meta: done.meta,
-                ready_at: done.latest_arrival,
-            });
-            Some(done.latest_arrival)
+            Some(self.complete(done.meta, done.latest_arrival))
         } else {
             None
         }
+    }
+
+    /// Queues a completed message for matching; returns its ready time.
+    fn complete(&mut self, meta: MessageMeta, ready_at: SimTime) -> SimTime {
+        self.completed_total += 1;
+        self.ready.push(Ready { meta, ready_at });
+        ready_at
     }
 
     /// Attempts to match a receive posted at simulated time `now`.
@@ -243,39 +262,27 @@ impl Mailbox {
     /// Rebuilds a mailbox captured by [`Self::export_state`], validating the
     /// structural invariants a corrupt snapshot could violate.
     pub fn from_state(state: MailboxState) -> Result<Self, String> {
-        let mut assembling = HashMap::with_capacity(state.assembling.len());
-        for a in state.assembling {
-            if a.received_mask.len() != a.meta.frag_count as usize {
-                return Err(format!(
-                    "message {}: mask length {} != frag_count {}",
-                    a.meta.id,
-                    a.received_mask.len(),
-                    a.meta.frag_count
-                ));
-            }
-            let received = a.received_mask.iter().filter(|&&b| b).count() as u32;
-            if received == 0 || received >= a.meta.frag_count {
-                return Err(format!(
-                    "message {}: {} of {} fragments is not a partial assembly",
-                    a.meta.id, received, a.meta.frag_count
-                ));
-            }
-            if assembling
-                .insert(
-                    a.meta.id,
-                    Assembling {
-                        meta: a.meta,
-                        received_mask: a.received_mask,
-                        received,
-                        latest_arrival: a.latest_arrival,
-                    },
-                )
-                .is_some()
-            {
-                return Err(format!("duplicate assembling message {}", a.meta.id));
-            }
-        }
-        Ok(Self {
+        state.check()?;
+        Ok(Self::restore(state))
+    }
+
+    /// Rebuilds a mailbox from a state that passed `MailboxState::check`.
+    pub(crate) fn restore(state: MailboxState) -> Self {
+        let assembling = state
+            .assembling
+            .into_iter()
+            .map(|a| {
+                let received = a.received_mask.iter().filter(|&&b| b).count() as u32;
+                let slot = Assembling {
+                    meta: a.meta,
+                    received_mask: a.received_mask,
+                    received,
+                    latest_arrival: a.latest_arrival,
+                };
+                (a.meta.id, slot)
+            })
+            .collect();
+        Self {
             assembling,
             ready: state
                 .ready
@@ -286,7 +293,7 @@ impl Mailbox {
                 })
                 .collect(),
             completed_total: state.completed_total,
-        })
+        }
     }
 }
 
@@ -322,9 +329,40 @@ pub struct MailboxState {
     pub completed_total: u64,
 }
 
+impl MailboxState {
+    /// Checks the structural invariants a corrupt snapshot could violate:
+    /// every partial assembly has a `frag_count`-long mask with some but not
+    /// all fragments received, and no message id is assembled twice.
+    pub(crate) fn check(&self) -> Result<(), String> {
+        let mut ids = HashSet::with_capacity(self.assembling.len());
+        for a in &self.assembling {
+            if a.received_mask.len() != a.meta.frag_count as usize {
+                return Err(format!(
+                    "message {}: mask length {} != frag_count {}",
+                    a.meta.id,
+                    a.received_mask.len(),
+                    a.meta.frag_count
+                ));
+            }
+            let received = a.received_mask.iter().filter(|&&b| b).count() as u32;
+            if received == 0 || received >= a.meta.frag_count {
+                return Err(format!(
+                    "message {}: {} of {} fragments is not a partial assembly",
+                    a.meta.id, received, a.meta.frag_count
+                ));
+            }
+            if !ids.insert(a.meta.id) {
+                return Err(format!("duplicate assembling message {}", a.meta.id));
+            }
+        }
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn meta(src: u32, seq: u64, tag: u32, frags: u32) -> MessageMeta {
         MessageMeta {
@@ -489,5 +527,64 @@ mod tests {
     fn bad_fragment_index_panics() {
         let mut mb = Mailbox::new();
         mb.deliver_fragment(meta(1, 0, 0, 2), 5, SimTime::ZERO);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn single_fragment_index_out_of_range_panics() {
+        let mut mb = Mailbox::new();
+        mb.deliver_fragment(meta(1, 0, 0, 1), 1, SimTime::ZERO);
+    }
+
+    #[test]
+    fn single_fragment_skips_the_reassembly_table() {
+        let mut mb = Mailbox::new();
+        mb.deliver_fragment(meta(1, 0, 0, 1), 0, SimTime::from_micros(1));
+        assert_eq!(mb.assembling_len(), 0);
+        assert_eq!(mb.assembling.capacity(), 0, "no table was allocated");
+    }
+
+    #[test]
+    #[should_panic(expected = "conflicting metadata")]
+    fn single_fragment_colliding_with_an_assembling_id_panics() {
+        let mut mb = Mailbox::new();
+        mb.deliver_fragment(meta(1, 0, 0, 3), 0, SimTime::ZERO);
+        // Same id, now claiming to be a one-fragment message.
+        mb.deliver_fragment(meta(1, 0, 0, 1), 0, SimTime::ZERO);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        #[test]
+        fn fast_path_matches_the_assembling_path(
+            msgs in prop::collection::vec((1u32..4, 0u64..40), 1..16),
+            order in any::<u64>(),
+        ) {
+            // Message i comes from rank i % 3 with its own sequence number
+            // and `frag_count` fragments arriving spread after its base.
+            let mut deliveries = Vec::new();
+            for (i, &(frags, base)) in msgs.iter().enumerate() {
+                let m = meta((i % 3) as u32, (i / 3) as u64, (i % 2) as u32, frags);
+                for k in 0..frags {
+                    let t = SimTime::from_micros(base + u64::from((k * 7 + i as u32) % 5));
+                    deliveries.push((m, k, t));
+                }
+            }
+            // A seeded Fisher–Yates shuffle interleaves the fragments.
+            let mut x = order | 1;
+            for j in (1..deliveries.len()).rev() {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                deliveries.swap(j, (x % (j as u64 + 1)) as usize);
+            }
+            let mut fast = Mailbox::new();
+            let mut slow = Mailbox::new();
+            for &(m, k, t) in &deliveries {
+                prop_assert_eq!(fast.deliver_fragment(m, k, t), slow.assemble(m, k, t));
+            }
+            prop_assert_eq!(fast.assembling_len(), 0);
+            prop_assert_eq!(fast.export_state(), slow.export_state());
+        }
     }
 }
